@@ -6,26 +6,25 @@ cross-service correlation.
 """
 
 from .fingerprint import (BinaryFingerprint, DenseEmbedding, PrivacyBudget,
-                          PrivatizedFingerprint, expected_self_distortion,
-                          hamming, keep_probability, pack_bits, quantize,
-                          randomize, unpack_bits)
+                          expected_self_distortion, hamming, keep_probability,
+                          pack_bits, quantize, randomize, unpack_bits)
 from .protocol import (CompositeFingerprint, CorrelationReply, ServiceNode,
                        broadcast, decode_frame, encode_frame, ingest_detection,
                        simulate_campaign)
 from .redaction import EntitySpan, EntityType, RedactedPrompt, Redactor
 from .simhash import SimHashFingerprint
-from .store import FingerprintStore, MatchResult, ScanMode, StoredFingerprint
+from .store import FingerprintStore, MatchResult, StoredFingerprint
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BinaryFingerprint", "DenseEmbedding", "PrivacyBudget",
-    "PrivatizedFingerprint", "expected_self_distortion", "hamming",
-    "keep_probability", "pack_bits", "quantize", "randomize", "unpack_bits",
+    "expected_self_distortion", "hamming", "keep_probability", "pack_bits",
+    "quantize", "randomize", "unpack_bits",
     "CompositeFingerprint", "CorrelationReply", "ServiceNode", "broadcast",
     "decode_frame", "encode_frame", "ingest_detection", "simulate_campaign",
     "EntitySpan", "EntityType", "RedactedPrompt", "Redactor",
     "SimHashFingerprint",
-    "FingerprintStore", "MatchResult", "ScanMode", "StoredFingerprint",
+    "FingerprintStore", "MatchResult", "StoredFingerprint",
     "__version__",
 ]

@@ -9,10 +9,8 @@ failed run never leaves a truncated artifact. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import sys
 from functools import wraps
 from pathlib import Path
 
@@ -27,12 +25,12 @@ from .evaluation import (BinaryShieldMethod, SimHashMethod, accuracy_at_k,
                          pr_sweep, storage_report, write_corpus_jsonl,
                          write_pairs_jsonl)
 from .fingerprint import PrivacyBudget, quantize, randomize
-from .protocol import (FRAME_VERSION, CompositeFingerprint, decode_frame,
-                       encode_frame, simulate_campaign, write_demo_scenario)
+from .protocol import (compose, decode_frame, encode_frame, simulate_campaign,
+                       write_demo_scenario)
 from .records import VariantType
 from .redaction import Redactor, entity_histogram, histogram_to_csv
 from .simhash import simhash
-from .store import FingerprintStore, ScanMode, StoredFingerprint
+from .store import FingerprintStore, StoredFingerprint
 from .synthetic import SyntheticGenerator
 from .textproc import derive_seed
 
@@ -144,11 +142,8 @@ def fingerprint(ctx, input_path, out_path, service_id, dim, alpha, seed, provide
             priv = randomize(quantize(prov.embed(redacted)),
                              PrivacyBudget.of(alpha),
                              derive_seed(seed, service_id, rec["id"]))
-            frames.append(encode_frame(CompositeFingerprint(
-                version=FRAME_VERSION, origin_service=service_id,
-                fingerprint_id=rec["id"], dim=dim, alpha=float(alpha),
-                bits_base64=base64.b64encode(priv.bits).decode("ascii"),
-                metadata=rec["metadata"], issued_at=i)))
+            frames.append(encode_frame(compose(service_id, rec["id"], priv,
+                                               rec["metadata"], i)))
         except Exception as exc:  # reported per record, run continues
             failures.append(f"record {rec['id']!r} (line {i + 1}): {exc}")
     if failures:

@@ -79,7 +79,16 @@ def _require_nonempty(text: TextLike) -> str:
     return raw
 
 
-class PseudoEmbedder:
+class _EmbedEach:
+    """``embed_batch`` for providers that embed one text at a time."""
+
+    def embed_batch(self, texts: Sequence[TextLike]) -> list[DenseEmbedding]:
+        if not texts:
+            raise ValueError("embed_batch requires at least one text")
+        return [self.embed(t) for t in texts]
+
+
+class PseudoEmbedder(_EmbedEach):
     """Pure-function embedder: normalized sum of per-token sign vectors.
 
     Each token is hashed to a 64-bit seed; the seed expands through the
@@ -118,11 +127,6 @@ class PseudoEmbedder:
         return DenseEmbedding(values=total.astype(np.float32), model_id=self.model_id,
                               dim=self.dim)
 
-    def embed_batch(self, texts: Sequence[TextLike]) -> list[DenseEmbedding]:
-        if not texts:
-            raise ValueError("embed_batch requires at least one text")
-        return [self.embed(t) for t in texts]
-
 
 # -- file-backed cache ---------------------------------------------------------
 
@@ -132,6 +136,8 @@ class EmbeddingCacheFile:
     Layout: 8-byte magic ``BSEMB\\x00\\x00\\x01``, uint32 LE dim, uint32 LE
     record count, then per record: uint32 LE key length, UTF-8 key bytes,
     dim float32 LE values. Keys are content hashes and must be unique.
+    A file that breaks this layout (truncated, a zero dim, a non-UTF-8 or
+    repeated key, bytes after the last record) raises CorruptPayload.
     """
 
     def __init__(self, path: str | Path):
@@ -155,36 +161,49 @@ class EmbeddingCacheFile:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 raise CorruptPayload(f"{self.path}: truncated cache header")
-            return _HEADER.unpack(header)
+            dim, count = _HEADER.unpack(header)
+            if dim == 0:
+                raise CorruptPayload(f"{self.path}: cache header gives dim 0")
+            return dim, count
 
     def iter_records(self) -> Iterable[tuple[str, np.ndarray]]:
-        """Stream (key, float32 values) without loading the whole file."""
-        vec_bytes = self.dim * 4
+        """Stream (key, float32 values) in file order without loading the
+        whole file."""
         with open(self.path, "rb") as fh:
-            fh.seek(len(CACHE_MAGIC) + _HEADER.size)
-            for _ in range(self.count):
-                raw = fh.read(_KEYLEN.size)
-                if len(raw) != _KEYLEN.size:
-                    raise CorruptPayload(f"{self.path}: truncated record header")
-                (key_len,) = _KEYLEN.unpack(raw)
-                key = fh.read(key_len).decode("utf-8")
-                data = fh.read(vec_bytes)
-                if len(data) != vec_bytes:
-                    raise CorruptPayload(f"{self.path}: truncated record for key {key}")
-                yield key, np.frombuffer(data, dtype="<f4")
+            for key, offset in self._index().items():
+                fh.seek(offset)
+                yield key, np.frombuffer(fh.read(self.dim * 4), dtype="<f4")
 
     def _index(self) -> dict[str, int]:
+        """Key -> offset of its values, from one walk over the record
+        headers that checks every length against the file size."""
         if self._offsets is None:
             offsets: dict[str, int] = {}
             pos = len(CACHE_MAGIC) + _HEADER.size
             vec_bytes = self.dim * 4
             with open(self.path, "rb") as fh:
-                fh.seek(pos)
-                for _ in range(self.count):
-                    (key_len,) = _KEYLEN.unpack(fh.read(_KEYLEN.size))
-                    key = fh.read(key_len).decode("utf-8")
-                    offsets[key] = fh.tell()
-                    fh.seek(vec_bytes, os.SEEK_CUR)
+                size = os.fstat(fh.fileno()).st_size
+                for i in range(self.count):
+                    fh.seek(pos)
+                    raw = fh.read(_KEYLEN.size)
+                    if len(raw) != _KEYLEN.size:
+                        raise CorruptPayload(f"{self.path}: truncated record {i}")
+                    (key_len,) = _KEYLEN.unpack(raw)
+                    offset = pos + _KEYLEN.size + key_len
+                    if offset + vec_bytes > size:
+                        raise CorruptPayload(f"{self.path}: truncated record {i}")
+                    try:
+                        key = fh.read(key_len).decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise CorruptPayload(
+                            f"{self.path}: key of record {i} is not UTF-8") from None
+                    if key in offsets:
+                        raise CorruptPayload(f"{self.path}: repeated key {key}")
+                    offsets[key] = offset
+                    pos = offset + vec_bytes
+            if pos != size:
+                raise CorruptPayload(
+                    f"{self.path}: {size - pos} trailing bytes after {self.count} records")
             self._offsets = offsets
         return self._offsets
 
@@ -256,7 +275,7 @@ def build_cache(texts: Iterable[TextLike], source_provider,
     return {"written": written, "skipped": skipped}
 
 
-class FileCacheProvider:
+class FileCacheProvider(_EmbedEach):
     """Serves embeddings from a prebuilt cache; misses are explicit errors."""
 
     def __init__(self, config: ProviderConfig):
@@ -275,11 +294,6 @@ class FileCacheProvider:
         _require_nonempty(text)
         values = self._cache.get(content_key(text))
         return DenseEmbedding(values=values, model_id=self.model_id, dim=self.dim)
-
-    def embed_batch(self, texts: Sequence[TextLike]) -> list[DenseEmbedding]:
-        if not texts:
-            raise ValueError("embed_batch requires at least one text")
-        return [self.embed(t) for t in texts]
 
 
 # -- remote HTTP client --------------------------------------------------------

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -383,17 +383,14 @@ def accuracy_at_k(corpus: Sequence[CorpusRecord], queries: Sequence[CorpusRecord
         def query_bits(rec):
             return simhash(rec.text).bits.to_bytes(8, "little")
     elif method == "binaryshield":
-        for r in corpus:
-            fp = quantize(provider.embed(r.text))
-            bits = fp.bits if alpha is None else randomize(
-                fp, alpha, derive_seed(seed, "corpus", r.id)).bits
-            store.insert(StoredFingerprint(id=r.id, bits=bits, dim=provider.dim,
-                                           alpha=alpha))
-        def query_bits(rec):
+        def query_bits(rec, tag="query"):
             fp = quantize(provider.embed(rec.text))
             if alpha is None:
                 return fp.bits
-            return randomize(fp, alpha, derive_seed(seed, "query", rec.id)).bits
+            return randomize(fp, alpha, derive_seed(seed, tag, rec.id)).bits
+        for r in corpus:
+            store.insert(StoredFingerprint(id=r.id, bits=query_bits(r, "corpus"),
+                                           dim=provider.dim, alpha=alpha))
     else:
         raise ValueError(f"unknown method {method!r}")
 

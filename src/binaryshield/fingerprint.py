@@ -14,7 +14,7 @@ Bit i is kept when ``u_i < p`` (strict) and flipped otherwise. Identical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -109,10 +109,17 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class BinaryFingerprint:
-    """Packed d-bit vector; the unit of storage and search."""
+    """Packed d-bit vector; the unit of storage and search.
+
+    A randomized-response release also carries its privacy budget and
+    noise seed; the seed is a local reproducibility handle and is never
+    transmitted.
+    """
 
     bits: bytes
     dim: int
+    alpha: PrivacyBudget | None = None
+    noise_seed: int | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -123,38 +130,13 @@ class BinaryFingerprint:
                 f"{packed_length(self.dim)} for dim {self.dim}")
         check_padding(self.bits, self.dim)
         object.__setattr__(self, "bits", bytes(self.bits))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", PrivacyBudget.of(self.alpha))
+        if self.noise_seed is not None:
+            object.__setattr__(self, "noise_seed", _check_seed(self.noise_seed))
 
     def popcount(self) -> int:
         return int(np.bitwise_count(np.frombuffer(self.bits, np.uint8)).sum())
-
-
-@dataclass(frozen=True)
-class PrivatizedFingerprint:
-    """Randomized-response output; noise_seed is a local reproducibility
-    handle and is never transmitted."""
-
-    bits: bytes
-    dim: int
-    alpha: PrivacyBudget
-    noise_seed: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if len(self.bits) != packed_length(self.dim):
-            raise CorruptPayload(
-                f"payload is {len(self.bits)} bytes, expected "
-                f"{packed_length(self.dim)} for dim {self.dim}")
-        check_padding(self.bits, self.dim)
-        object.__setattr__(self, "bits", bytes(self.bits))
-        object.__setattr__(self, "alpha", PrivacyBudget.of(self.alpha))
-        object.__setattr__(self, "noise_seed", _check_seed(self.noise_seed))
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(np.frombuffer(self.bits, np.uint8)).sum())
-
-
-Fingerprint = Union[BinaryFingerprint, PrivatizedFingerprint]
 
 
 def quantize(e: DenseEmbedding) -> BinaryFingerprint:
@@ -185,18 +167,18 @@ def expected_self_distortion(alpha: Union[PrivacyBudget, float], dim: int) -> fl
 
 
 def randomize(b: BinaryFingerprint, alpha: Union[PrivacyBudget, float],
-              seed: int) -> PrivatizedFingerprint:
+              seed: int) -> BinaryFingerprint:
     """Apply per-bit randomized response under the module's noise contract."""
     budget = PrivacyBudget.of(alpha)
     p = keep_probability(budget)
     bits = unpack_bits(b.bits, b.dim)
     u = _uniforms(seed, b.dim)
     flipped = bits ^ (u >= p).astype(np.uint8)
-    return PrivatizedFingerprint(bits=pack_bits(flipped), dim=b.dim,
-                                 alpha=budget, noise_seed=int(seed))
+    return BinaryFingerprint(bits=pack_bits(flipped), dim=b.dim,
+                             alpha=budget, noise_seed=int(seed))
 
 
-def hamming(a: Fingerprint, c: Fingerprint) -> int:
+def hamming(a: BinaryFingerprint, c: BinaryFingerprint) -> int:
     """Number of differing bit positions, via XOR + popcount on the packed
     payloads (padding is zero on both sides, so it contributes nothing)."""
     if a.dim != c.dim:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +22,8 @@ from typing import Mapping, Sequence
 
 from .embeddings import PseudoEmbedder
 from .errors import CorruptPayload, FrameDecodeError, SchemaError
-from .fingerprint import (PrivacyBudget, check_padding, packed_length, quantize,
-                          randomize)
+from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
+                          packed_length, quantize, randomize)
 from .redaction import Redactor
 from .store import FingerprintStore, StoredFingerprint
 from .textproc import derive_seed
@@ -47,8 +49,8 @@ class CompositeFingerprint:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         decoded = self.decoded_bits()
         if len(decoded) != packed_length(self.dim):
             raise ValueError(
@@ -63,6 +65,20 @@ class CompositeFingerprint:
 
     def decoded_bits(self) -> bytes:
         return base64.b64decode(self.bits_base64, validate=True)
+
+
+def compose(origin_service: str, fingerprint_id: str, release: BinaryFingerprint,
+            metadata: Mapping[str, str], issued_at: int) -> CompositeFingerprint:
+    """The wire composite for a randomized release; dim and alpha are the
+    release's own."""
+    if release.alpha is None:
+        raise ValueError("compose needs a randomized release, which carries alpha")
+    return CompositeFingerprint(
+        version=FRAME_VERSION, origin_service=origin_service,
+        fingerprint_id=fingerprint_id, dim=release.dim,
+        alpha=float(release.alpha.alpha),
+        bits_base64=base64.b64encode(release.bits).decode("ascii"),
+        metadata=dict(metadata), issued_at=issued_at)
 
 
 def encode_frame(f: CompositeFingerprint) -> bytes:
@@ -87,7 +103,7 @@ def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint
         data = data.decode("utf-8", errors="replace")
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FrameDecodeError("<frame>", f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FrameDecodeError("<frame>", "frame is not a JSON object")
@@ -99,16 +115,17 @@ def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint
         if strict:
             raise FrameDecodeError(sorted(unknown)[0], "unknown key in strict mode")
         warnings.warn(f"ignoring unknown frame keys: {sorted(unknown)}")
-    if not isinstance(obj["version"], int):
+    if type(obj["version"]) is not int:
         raise FrameDecodeError("version", "must be an integer")
     for key in ("origin_service", "fingerprint_id", "bits_base64"):
         if not isinstance(obj[key], str):
             raise FrameDecodeError(key, "must be a string")
-    if not isinstance(obj["dim"], int) or obj["dim"] < 1:
+    if type(obj["dim"]) is not int or obj["dim"] < 1:
         raise FrameDecodeError("dim", "must be a positive integer")
-    if not isinstance(obj["alpha"], (int, float)) or not obj["alpha"] > 0:
-        raise FrameDecodeError("alpha", "must be a positive number")
-    if not isinstance(obj["issued_at"], int):
+    alpha = obj["alpha"]
+    if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
+        raise FrameDecodeError("alpha", "must be a positive finite number")
+    if type(obj["issued_at"]) is not int:
         raise FrameDecodeError("issued_at", "must be an integer")
     if not isinstance(obj["metadata"], dict):
         raise FrameDecodeError("metadata", "must be an object")
@@ -128,7 +145,7 @@ def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint
         return CompositeFingerprint(
             version=obj["version"], origin_service=obj["origin_service"],
             fingerprint_id=obj["fingerprint_id"], dim=obj["dim"],
-            alpha=float(obj["alpha"]), bits_base64=obj["bits_base64"],
+            alpha=float(alpha), bits_base64=obj["bits_base64"],
             metadata=dict(obj["metadata"]), issued_at=obj["issued_at"])
     except ValueError as exc:
         raise FrameDecodeError("metadata", str(exc)) from None
@@ -197,12 +214,8 @@ def ingest_detection(node: ServiceNode, raw_prompt: str,
     base = quantize(embedding)
     seed = derive_seed(config.base_seed, node.service_id, fingerprint_id)
     privatized = randomize(base, PrivacyBudget.of(config.alpha), seed)
-    composite = CompositeFingerprint(
-        version=FRAME_VERSION, origin_service=node.service_id,
-        fingerprint_id=fingerprint_id, dim=privatized.dim,
-        alpha=float(PrivacyBudget.of(config.alpha).alpha),
-        bits_base64=base64.b64encode(privatized.bits).decode("ascii"),
-        metadata=dict(metadata), issued_at=issued_at)
+    composite = compose(node.service_id, fingerprint_id, privatized, metadata,
+                        issued_at)
     node.store.insert(StoredFingerprint(
         id=fingerprint_id, bits=privatized.bits, dim=privatized.dim,
         alpha=composite.alpha, metadata=dict(metadata)))
@@ -318,9 +331,8 @@ def simulate_campaign(scenario: dict | str | Path,
         if key not in obj:
             raise SchemaError(f"scenario missing required key {key!r}", path=where)
     dim, alpha, seed = int(obj["dim"]), float(obj["alpha"]), int(obj["seed"])
-    redactor = redactor or Redactor.default()
-    provider = PseudoEmbedder(dim=dim)
-    config = PipelineConfig(redactor=redactor, provider=provider, alpha=alpha,
+    config = PipelineConfig(redactor=redactor or Redactor.default(),
+                            provider=PseudoEmbedder(dim=dim), alpha=alpha,
                             base_seed=seed, dim=dim)
 
     nodes: dict[str, ServiceNode] = {}
@@ -339,12 +351,8 @@ def simulate_campaign(scenario: dict | str | Path,
         node = ServiceNode(service_id=service_id,
                            store=FingerprintStore(dim=dim), tau=int(svc["tau"]))
         for rec in records:
-            red = redactor.redact(rec.text)
-            base = quantize(provider.embed(red))
-            priv = randomize(base, alpha, derive_seed(seed, service_id, rec.id))
             meta = {"attack_group": rec.attack_group} if rec.attack_group else {}
-            node.store.insert(StoredFingerprint(
-                id=rec.id, bits=priv.bits, dim=dim, alpha=alpha, metadata=meta))
+            ingest_detection(node, rec.text, meta, config, fingerprint_id=rec.id)
         nodes[service_id] = node
         corpora[service_id] = {rec.id: rec for rec in records}
 

@@ -17,7 +17,6 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,12 +25,11 @@ import numpy as np
 from . import kernels
 from .atomicio import atomic_output
 from .errors import CorruptPayload, DimensionMismatch
-from .fingerprint import (BinaryFingerprint, PrivatizedFingerprint, check_padding,
-                          packed_length)
+from .fingerprint import BinaryFingerprint, check_padding, packed_length
 
 SNAPSHOT_MAGIC = b"BSFP\x00\x01"
 
-QueryLike = bytes | BinaryFingerprint | PrivatizedFingerprint
+QueryLike = bytes | BinaryFingerprint
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,6 @@ class MatchResult:
     id: str
     distance: int
     metadata_overlap: int = 0
-
-
-class ScanMode(Enum):
-    PACKED_HAMMING = "packed_hamming"
-    DENSE_COSINE = "dense_cosine"
 
 
 @dataclass
@@ -99,7 +92,7 @@ class ScanReport:
 
 
 def _query_bytes(query: QueryLike, dim: int) -> bytes:
-    if isinstance(query, (BinaryFingerprint, PrivatizedFingerprint)):
+    if isinstance(query, BinaryFingerprint):
         if query.dim != dim:
             raise DimensionMismatch(query.dim, dim, "query")
         return query.bits
@@ -123,14 +116,12 @@ class FingerprintStore:
     def __init__(self, dim: int | None = None):
         self.dim = dim
         self._entries: list[StoredFingerprint] = []
-        self._dense: list[np.ndarray | None] = []
         self._id_index: dict[str, int] = {}
         # (words, capacity) uint64; its first _covered columns hold the
         # first _covered entries. Columns past that are never touched, so
         # spare capacity costs no resident memory.
         self._words: np.ndarray | None = None
         self._covered = 0
-        self._dense_matrix: np.ndarray | None = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -145,7 +136,7 @@ class FingerprintStore:
     def payload_bytes(self) -> int:
         return sum(len(e.bits) for e in self._entries)
 
-    def insert(self, fp: StoredFingerprint, dense: np.ndarray | None = None) -> int:
+    def insert(self, fp: StoredFingerprint) -> int:
         """Add one entry; returns its insertion sequence number."""
         if self.dim is None:
             self.dim = fp.dim
@@ -160,17 +151,13 @@ class FingerprintStore:
         entry = fp if fp.inserted_at == seq else replace(fp, inserted_at=seq)
         with self._lock:
             self._entries.append(entry)
-            self._dense.append(None if dense is None
-                               else np.asarray(dense, dtype=np.float32))
             self._id_index[fp.id] = entry.inserted_at
-            self._dense_matrix = None
         return seq
 
-    def insert_many(self, fps: Iterable[StoredFingerprint],
-                    dense: Sequence[np.ndarray] | None = None) -> int:
+    def insert_many(self, fps: Iterable[StoredFingerprint]) -> int:
         count = 0
-        for i, fp in enumerate(fps):
-            self.insert(fp, dense=None if dense is None else dense[i])
+        for fp in fps:
+            self.insert(fp)
             count += 1
         return count
 
@@ -268,67 +255,33 @@ class FingerprintStore:
 
     # -- benchmark ---------------------------------------------------------------
 
-    def _dense_matrix_normalized(self) -> np.ndarray:
-        with self._lock:
-            if self._dense_matrix is None:
-                if any(v is None for v in self._dense):
-                    missing = sum(1 for v in self._dense if v is None)
-                    raise ValueError(
-                        f"DENSE_COSINE scan requires dense vectors for every "
-                        f"entry; {missing} of {len(self._dense)} are missing")
-                matrix = np.vstack(self._dense).astype(np.float32)
-                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-                norms[norms == 0] = 1.0
-                self._dense_matrix = matrix / norms
-            return self._dense_matrix
+    def scan_benchmark(self, queries: Sequence[QueryLike]) -> ScanReport:
+        """Time a per-query top-1 packed-Hamming scan over the whole store.
 
-    def scan_benchmark(self, queries: Sequence, mode: ScanMode) -> ScanReport:
-        """Time a per-query top-1 scan over the whole store.
-
-        Queries are processed one at a time in both modes, mirroring how a
-        correlation service answers independent lookups. Matrix packing /
-        normalization happens before the timed region (index build cost).
+        Queries are processed one at a time, mirroring how a correlation
+        service answers independent lookups. Packing the word matrix happens
+        before the timed region (index build cost).
         """
+        words = self._word_matrix()
+        rows = [kernels.bytes_to_words(_query_bytes(q, self.dim)) for q in queries]
         per_query: list[float] = []
-        if mode is ScanMode.PACKED_HAMMING:
-            words = self._word_matrix()
-            rows = [kernels.bytes_to_words(_query_bytes(q, self.dim)) for q in queries]
-            t0 = time.perf_counter()
-            for row in rows:
-                tq = time.perf_counter()
-                distances = kernels.scan_distances(words, row)
-                _ = int(distances.argmin()) if distances.size else -1
-                per_query.append(time.perf_counter() - tq)
-            total = time.perf_counter() - t0
-        elif mode is ScanMode.DENSE_COSINE:
-            matrix = self._dense_matrix_normalized()
-            prepared = []
-            for q in queries:
-                vec = np.asarray(q, dtype=np.float32).reshape(-1)
-                if vec.size != matrix.shape[1]:
-                    raise DimensionMismatch(vec.size, matrix.shape[1], "dense query")
-                norm = np.linalg.norm(vec)
-                prepared.append(vec / norm if norm else vec)
-            t0 = time.perf_counter()
-            for vec in prepared:
-                tq = time.perf_counter()
-                scores = matrix @ vec
-                _ = int(scores.argmax()) if scores.size else -1
-                per_query.append(time.perf_counter() - tq)
-            total = time.perf_counter() - t0
-        else:
-            raise ValueError(f"unknown scan mode {mode!r}")
-        return ScanReport(mode=mode.value, corpus_size=len(self._entries),
+        t0 = time.perf_counter()
+        for row in rows:
+            tq = time.perf_counter()
+            distances = kernels.scan_distances(words, row)
+            _ = int(distances.argmin()) if distances.size else -1
+            per_query.append(time.perf_counter() - tq)
+        total = time.perf_counter() - t0
+        return ScanReport(mode="packed_hamming", corpus_size=len(self._entries),
                           n_queries=len(queries), total_seconds=total,
                           per_query_seconds=per_query,
-                          backend=kernels.active_backend()
-                          if mode is ScanMode.PACKED_HAMMING else "blas")
+                          backend=kernels.active_backend())
 
     # -- persistence ---------------------------------------------------------------
 
     def save_snapshot(self, path: str | Path) -> None:
         """Write the length-prefixed snapshot format (id, alpha, metadata,
-        packed bits per record; dense vectors are not persisted). The file
+        packed bits per record). The file
         is replaced atomically: a failed save leaves the old one intact."""
         with atomic_output(path, "wb") as fh:
             fh.write(SNAPSHOT_MAGIC)

@@ -124,6 +124,62 @@ class TestCacheFile:
         assert streamed == {k: v.tobytes() for k, v in rows}
 
 
+class TestCacheFileCorruption:
+    """A damaged cache fails with CorruptPayload from every reader, never a
+    bare struct or Unicode error, and is never silently accepted."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path):
+        path = tmp_path / "c.bsemb"
+        build_cache(["alpha", "beta"], PseudoEmbedder(dim=8), path)
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _assert_every_reader_rejects(path):
+        readers = (lambda c: c.keys(), lambda c: c.get(content_key("alpha")),
+                   lambda c: list(c.iter_records()))
+        for read in readers:
+            with pytest.raises(CorruptPayload):
+                read(EmbeddingCacheFile(path))
+
+    def test_two_records_of_dim_8(self, cache):
+        path, data = cache
+        assert len(data) == 16 + 2 * (4 + 64 + 8 * 4) == 216
+        assert EmbeddingCacheFile(path).keys() == {content_key("alpha"),
+                                                    content_key("beta")}
+
+    def test_every_truncation_rejected(self, cache):
+        path, data = cache
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            self._assert_every_reader_rejects(path)
+            with pytest.raises(CorruptPayload):
+                build_cache(["gamma"], PseudoEmbedder(dim=8), path)
+            assert path.read_bytes() == data[:n]
+
+    def test_trailing_byte_rejected(self, cache):
+        path, data = cache
+        path.write_bytes(data + b"\x00")
+        self._assert_every_reader_rejects(path)
+
+    def test_non_utf8_key_rejected(self, cache):
+        path, data = cache
+        path.write_bytes(data[:20] + b"\xff" + data[21:])
+        self._assert_every_reader_rejects(path)
+
+    def test_repeated_key_rejected(self, cache):
+        path, data = cache
+        first = data[16:116]
+        path.write_bytes(data[:16] + first + first)
+        self._assert_every_reader_rejects(path)
+
+    def test_dim_0_header_rejected(self, tmp_path):
+        path = tmp_path / "c.bsemb"
+        path.write_bytes(b"BSEMB\x00\x00\x01" + b"\x00" * 8)
+        with pytest.raises(CorruptPayload, match="dim 0"):
+            EmbeddingCacheFile(path)
+
+
 class TestBuildCache:
     def test_duplicate_texts_stored_once(self, tmp_path, pseudo768):
         path = tmp_path / "c.bsemb"

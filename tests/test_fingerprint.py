@@ -229,3 +229,14 @@ class TestTypes:
     def test_fingerprint_padding_validation(self):
         with pytest.raises(CorruptPayload):
             BinaryFingerprint(bits=b"\xff", dim=3)
+
+    def test_release_fields_validated_only_when_set(self):
+        plain = quantize(_embedding([0.5, -0.5, 1.0]))
+        assert (plain.alpha, plain.noise_seed) == (None, None)
+        release = BinaryFingerprint(bits=plain.bits, dim=3, alpha=1.5, noise_seed=4)
+        assert release.alpha == PrivacyBudget(1.5)
+        assert isinstance(randomize(plain, 1.5, 4), BinaryFingerprint)
+        with pytest.raises(ValueError, match="alpha"):
+            BinaryFingerprint(bits=plain.bits, dim=3, alpha=0.0)
+        with pytest.raises(ValueError, match="uint64"):
+            BinaryFingerprint(bits=plain.bits, dim=3, noise_seed=2**64)

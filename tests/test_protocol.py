@@ -14,7 +14,7 @@ from binaryshield.fingerprint import (hamming, keep_probability, pack_bits,
                                       quantize, randomize, random_fingerprint,
                                       unpack_bits)
 from binaryshield.protocol import (CompositeFingerprint, CorrelationReply,
-                                   PipelineConfig, ServiceNode, broadcast,
+                                   PipelineConfig, ServiceNode, broadcast, compose,
                                    decode_frame, encode_frame, ingest_detection,
                                    simulate_campaign, write_demo_scenario)
 from binaryshield.redaction import Redactor
@@ -113,6 +113,100 @@ class TestFrameFormat:
     def test_metadata_newline_rejected(self):
         with pytest.raises(ValueError, match="newline"):
             _composite(metadata={"k": "line1\nline2"})
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(FrameDecodeError, match="JSON"):
+            decode_frame(b"[" * 100_000)
+
+    @pytest.mark.parametrize("field,value", [("dim", True), ("version", True),
+                                             ("issued_at", False), ("alpha", True)])
+    def test_booleans_are_not_numbers(self, field, value):
+        assert decode_frame(_one_bit_frame()).dim == 1
+        with pytest.raises(FrameDecodeError) as err:
+            decode_frame(_one_bit_frame(**{field: value}))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("literal", ["1e999", "Infinity", "-Infinity", "NaN",
+                                         "1" + "0" * 400],
+                             ids=["1e999", "Infinity", "-Infinity", "NaN", "int400"])
+    def test_non_finite_alpha_rejected(self, literal):
+        frame = _one_bit_frame().replace('"alpha": 1.5', f'"alpha": {literal}')
+        with pytest.raises(FrameDecodeError) as err:
+            decode_frame(frame)
+        assert err.value.field == "alpha"
+        with pytest.raises(ValueError, match="finite"):
+            _composite(alpha=float("inf"))
+
+    @given(st.binary(max_size=400))
+    @settings(max_examples=300)
+    def test_arbitrary_bytes_raise_only_frame_errors(self, data):
+        try:
+            decode_frame(data)
+        except FrameDecodeError:
+            pass
+
+    @given(st.sampled_from(sorted(json.loads(encode_frame(_composite())))),
+           st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                        | st.text(max_size=20),
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                        max_leaves=8))
+    @settings(max_examples=300)
+    def test_any_field_value_raises_only_frame_errors(self, field, value):
+        obj = json.loads(encode_frame(_composite(dim=12)))
+        obj[field] = value
+        try:
+            decoded = decode_frame(json.dumps(obj))
+        except FrameDecodeError:
+            return
+        line = encode_frame(decoded)
+        reencoded = json.loads(line, parse_constant=_no_constant)
+        assert not any(isinstance(v, bool) for v in reencoded.values())
+        assert encode_frame(decode_frame(line)) == line
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_encode_decode_encode_is_identity(self, data):
+        dim = data.draw(st.integers(1, 300))
+        bits = bytearray(data.draw(st.binary(min_size=(dim + 7) // 8,
+                                             max_size=(dim + 7) // 8)))
+        if dim % 8:
+            bits[-1] &= (1 << dim % 8) - 1
+        line = st.text().filter(lambda t: "\n" not in t)
+        c = CompositeFingerprint(
+            version=data.draw(st.integers()), origin_service=data.draw(st.text()),
+            fingerprint_id=data.draw(st.text()), dim=dim,
+            alpha=data.draw(st.floats(min_value=0, exclude_min=True,
+                                      allow_infinity=False)),
+            bits_base64=base64.b64encode(bytes(bits)).decode("ascii"),
+            metadata=data.draw(st.dictionaries(st.text(), line, max_size=4)),
+            issued_at=data.draw(st.integers()))
+        assert encode_frame(decode_frame(encode_frame(c))) == encode_frame(c)
+
+
+def _no_constant(name):
+    raise AssertionError(f"frame encodes {name}, which is not JSON")
+
+
+def _one_bit_frame(**fields) -> str:
+    obj = {"version": 1, "origin_service": "S1", "fingerprint_id": "f", "dim": 1,
+           "alpha": 1.5, "bits_base64": "AA==", "metadata": {}, "issued_at": 0}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+class TestCompose:
+    def test_takes_dim_and_alpha_from_the_release(self):
+        release = randomize(random_fingerprint(20, 3), 1.25, 8)
+        c = compose("S1", "fp-1", release, {"tool": "email"}, 4)
+        assert (c.dim, c.alpha, c.decoded_bits()) == (20, 1.25, release.bits)
+        assert (c.version, c.origin_service, c.fingerprint_id, c.issued_at) == (
+            1, "S1", "fp-1", 4)
+        assert c.metadata == {"tool": "email"}
+
+    def test_rejects_a_release_without_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            compose("S1", "fp-1", random_fingerprint(20, 3), {}, 0)
 
 
 def _node(service_id, dim=768, tau=100, entries=()):

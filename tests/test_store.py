@@ -4,11 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from binaryshield.bench import make_random_store, random_bit_rows
+from binaryshield.bench import (dense_scan_benchmark, make_random_store,
+                                random_bit_rows, random_unit_rows)
 from binaryshield.errors import CorruptPayload, DimensionMismatch
 from binaryshield.fingerprint import pack_bits, unpack_bits
-from binaryshield.store import (FingerprintStore, MatchResult, ScanMode,
-                                StoredFingerprint)
+from binaryshield.store import FingerprintStore, MatchResult, StoredFingerprint
 
 from conftest import naive_hamming_bits
 
@@ -364,7 +364,7 @@ class TestSnapshot:
 class TestScanBenchmark:
     def test_zero_queries_valid_empty_report(self):
         store = make_random_store(10, 64, seed=24)
-        report = store.scan_benchmark([], ScanMode.PACKED_HAMMING)
+        report = store.scan_benchmark([])
         assert report.n_queries == 0
         assert report.mean_query_seconds == 0.0
         assert report.corpus_size == 10
@@ -372,7 +372,7 @@ class TestScanBenchmark:
     def test_packed_report_fields(self):
         store = make_random_store(100, 768, seed=25)
         queries = [_random_packed(768, 300 + i) for i in range(5)]
-        report = store.scan_benchmark(queries, ScanMode.PACKED_HAMMING)
+        report = store.scan_benchmark(queries)
         assert report.mode == "packed_hamming"
         assert report.n_queries == 5
         assert len(report.per_query_seconds) == 5
@@ -380,16 +380,9 @@ class TestScanBenchmark:
         assert "corpus_size" in report.to_json()
         assert report.to_csv().startswith("query_index,seconds")
 
-    def test_dense_requires_vectors(self):
-        store = make_random_store(10, 64, seed=26, with_dense=False)
-        with pytest.raises(ValueError, match="dense"):
-            store.scan_benchmark([np.zeros(64, dtype=np.float32)],
-                                 ScanMode.DENSE_COSINE)
-
     def test_dense_mode_runs(self):
-        store = make_random_store(50, 64, seed=27, with_dense=True)
-        rng = np.random.Generator(np.random.Philox(key=28))
-        queries = [rng.standard_normal(64).astype(np.float32) for _ in range(3)]
-        report = store.scan_benchmark(queries, ScanMode.DENSE_COSINE)
+        matrix = random_unit_rows(50, 64, seed=27)
+        queries = random_unit_rows(3, 64, seed=28)
+        report = dense_scan_benchmark(matrix, queries)
         assert report.mode == "dense_cosine"
         assert report.n_queries == 3
