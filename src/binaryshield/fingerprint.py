@@ -64,10 +64,16 @@ def unpack_bits(data: bytes, dim: int) -> np.ndarray:
                          bitorder="little")
 
 
+def padding_mask(dim: int) -> int:
+    """The padding bits of a packed payload's last byte (0 if it has none)."""
+    rem = dim % 8
+    return ~((1 << rem) - 1) & 0xFF if rem else 0
+
+
 def check_padding(data: bytes, dim: int) -> None:
     """Reject a packed payload whose bits past ``dim - 1`` are not zero."""
-    rem = dim % 8
-    if rem and data[-1] & ~((1 << rem) - 1) & 0xFF:
+    mask = padding_mask(dim)
+    if mask and data[-1] & mask:
         raise CorruptPayload(
             f"nonzero padding bits beyond index {dim - 1} (corrupt payload)")
 

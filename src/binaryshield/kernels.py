@@ -43,17 +43,22 @@ def rows_to_words(rows: np.ndarray) -> np.ndarray:
     """
     if rows.ndim != 2 or rows.dtype != np.uint8:
         raise ValueError("expected a 2-D uint8 matrix of packed rows")
+    words = np.empty((words_per_row(rows.shape[1]), rows.shape[0]), dtype=np.uint64)
+    fill_words(words, rows)
+    return words.T
+
+
+def fill_words(out: np.ndarray, rows: np.ndarray) -> None:
+    """Write (n, n_bytes) uint8 rows into ``out``, a (w, n) uint64 block
+    whose column j receives row j zero-padded to w words."""
     n, n_bytes = rows.shape
-    w = words_per_row(n_bytes)
-    words = np.empty((w, n), dtype=np.uint64)
     # Pad and transpose a cache-sized block of rows at a time; one whole
     # transposing copy runs about twice as long.
-    padded = np.zeros((min(n, _BLOCK_ROWS), w * WORD_BYTES), dtype=np.uint8)
+    padded = np.zeros((min(n, _BLOCK_ROWS), out.shape[0] * WORD_BYTES), dtype=np.uint8)
     for start in range(0, n, _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         padded[: len(block), :n_bytes] = block
-        words[:, start:start + len(block)] = padded[: len(block)].view(np.uint64).T
-    return words.T
+        out[:, start:start + len(block)] = padded[: len(block)].view(np.uint64).T
 
 
 # -- scan ---------------------------------------------------------------------

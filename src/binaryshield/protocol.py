@@ -100,7 +100,10 @@ def encode_frame(f: CompositeFingerprint) -> bytes:
 def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint:
     """Parse and validate one frame; every failure names the bad field."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameDecodeError("<frame>", f"not valid UTF-8 at byte {exc.start}") from None
     try:
         obj = json.loads(data)
     except (ValueError, RecursionError) as exc:

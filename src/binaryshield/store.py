@@ -2,32 +2,39 @@
 
 Entries are append-only and keep their arrival order; searches order
 results by (distance, insertion sequence) so seeded experiments reproduce
-identical match lists. The scan runs through :mod:`binaryshield.kernels`
-over one uint64 word matrix that each search extends with the entries
-inserted since the last one.
+identical match lists. The store is columnar: ids, alphas and metadata
+are kept as per-entry columns, and the packed bits only in one uint64
+word matrix, which the scan in :mod:`binaryshield.kernels` reads and each
+search extends with the entries inserted since the last one.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import math
 import mmap
+import os
 import struct
 import threading
-import time
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .atomicio import atomic_output
 from .errors import CorruptPayload, DimensionMismatch
-from .fingerprint import BinaryFingerprint, check_padding, packed_length
+from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
+                          packed_length, padding_mask)
 
 SNAPSHOT_MAGIC = b"BSFP\x00\x01"
+_HEADER = struct.Struct("<II")      # dim, record count
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+_CHUNK = 1 << 20                    # snapshot bytes read or written at a time
+_ROW_BLOCK = 4096                   # entries copied out of the matrix at a time
 
 QueryLike = bytes | BinaryFingerprint
 
@@ -59,39 +66,8 @@ class MatchResult:
     metadata_overlap: int = 0
 
 
-@dataclass
-class ScanReport:
-    mode: str
-    corpus_size: int
-    n_queries: int
-    total_seconds: float
-    per_query_seconds: list[float]
-    backend: str
-
-    @property
-    def mean_query_seconds(self) -> float:
-        return self.total_seconds / self.n_queries if self.n_queries else 0.0
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "backend": self.backend,
-            "corpus_size": self.corpus_size,
-            "n_queries": self.n_queries,
-            "total_seconds": self.total_seconds,
-            "mean_query_seconds": self.mean_query_seconds,
-        }, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["query_index", "seconds"])
-        for i, s in enumerate(self.per_query_seconds):
-            writer.writerow([i, f"{s:.9f}"])
-        return buf.getvalue()
-
-
-def _query_bytes(query: QueryLike, dim: int) -> bytes:
+def query_bytes(query: QueryLike, dim: int) -> bytes:
+    """The packed payload of a query, checked against the store's dim."""
     if isinstance(query, BinaryFingerprint):
         if query.dim != dim:
             raise DimensionMismatch(query.dim, dim, "query")
@@ -110,48 +86,130 @@ def _metadata_overlap(entry_meta: dict[str, str],
     return sum(1 for k, v in query_meta.items() if entry_meta.get(k) == v)
 
 
+def _alloc_words(n_words: int, capacity: int) -> np.ndarray:
+    """A zeroed (n_words, capacity) uint64 matrix in an anonymous mapping.
+
+    Not np.empty, which asks for transparent huge pages on large arrays:
+    those would make the unused tail of every word row resident as soon
+    as its head is written.
+    """
+    buf = mmap.mmap(-1, n_words * capacity * kernels.WORD_BYTES)
+    return np.frombuffer(buf, dtype=np.uint64).reshape(n_words, capacity)
+
+
+def _row_bytes(words: np.ndarray, n_bytes: int) -> Iterator[bytes]:
+    """Each row of an (n, words) matrix as its first n_bytes bytes, copied
+    out a block of rows at a time."""
+    for start in range(0, words.shape[0], _ROW_BLOCK):
+        block = np.ascontiguousarray(words[start:start + _ROW_BLOCK]).view(np.uint8)
+        for row in block[:, :n_bytes]:
+            yield row.tobytes()
+
+
+def _encode_metadata(metadata: dict[str, str]) -> bytes:
+    parts = [_U32.pack(len(metadata))]
+    for key in sorted(metadata):
+        kb, vb = key.encode("utf-8"), metadata[key].encode("utf-8")
+        parts += [_U32.pack(len(kb)), kb, _U32.pack(len(vb)), vb]
+    return b"".join(parts)
+
+
+def _decode_text(raw: bytes, path: Path, at: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptPayload(f"{path}: string at byte {at} is not UTF-8") from None
+
+
+def _decode_metadata(raw: bytes, path: Path, at: int) -> dict[str, str]:
+    """Inverse of :func:`_encode_metadata`; ``raw`` is known to hold
+    exactly the pairs it counts, and starts at file offset ``at``."""
+    metadata = {}
+    pos = _U32.size
+    for _ in range(_U32.unpack_from(raw)[0]):
+        text = []
+        for _ in range(2):
+            (length,) = _U32.unpack_from(raw, pos)
+            pos += _U32.size
+            text.append(_decode_text(raw[pos:pos + length], path, at + pos))
+            pos += length
+        metadata[text[0]] = text[1]
+    return metadata
+
+
 class FingerprintStore:
-    """Append-only log; many concurrent readers or one writer at a time."""
+    """Append-only log; many concurrent readers or one writer at a time.
+
+    Entry ``seq`` is ``_ids[seq]``, ``_alphas[seq]`` (NaN when it has no
+    alpha) and ``_metadata[seq]`` (one dict shared by every entry with the
+    same metadata). Its bits are column ``seq`` of the word matrix, or
+    ``_pending[seq - _covered]`` until the next search writes them in.
+    """
 
     def __init__(self, dim: int | None = None):
         self.dim = dim
-        self._entries: list[StoredFingerprint] = []
+        self._ids: list[str] = []
         self._id_index: dict[str, int] = {}
+        self._alphas = array("d")
+        self._metadata: list[dict[str, str]] = []
+        self._shared_metadata: dict[tuple, dict[str, str]] = {}
+        self._pending: list[bytes] = []
         # (words, capacity) uint64; its first _covered columns hold the
-        # first _covered entries. Columns past that are never touched, so
-        # spare capacity costs no resident memory.
+        # bits of the first _covered entries. Columns past that are never
+        # touched, so spare capacity costs no resident memory.
         self._words: np.ndarray | None = None
         self._covered = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
-    def __iter__(self):
-        return iter(self._entries)
+    def __iter__(self) -> Iterator[StoredFingerprint]:
+        """Every entry in insertion order, its bits read in one pass over
+        the word matrix."""
+        rows = _row_bytes(self.word_matrix(), self._n_bytes())
+        for seq, bits in enumerate(rows):
+            yield self._entry(seq, bits)
 
     def get(self, entry_id: str) -> StoredFingerprint:
-        return self._entries[self._id_index[entry_id]]
+        """The entry with this id; its metadata dict is the caller's copy."""
+        with self._lock:
+            seq = self._id_index[entry_id]
+            if seq >= self._covered:
+                bits = self._pending[seq - self._covered]
+            else:
+                bits = self._words[:, seq].tobytes()[: self._n_bytes()]
+        return self._entry(seq, bits)
+
+    def _entry(self, seq: int, bits: bytes) -> StoredFingerprint:
+        alpha = self._alphas[seq]
+        return StoredFingerprint(id=self._ids[seq], bits=bits, dim=self.dim,
+                                 alpha=None if math.isnan(alpha) else alpha,
+                                 metadata=dict(self._metadata[seq]),
+                                 inserted_at=seq)
+
+    def _n_bytes(self) -> int:
+        return packed_length(self.dim or 0)
 
     def payload_bytes(self) -> int:
-        return sum(len(e.bits) for e in self._entries)
+        return len(self) * self._n_bytes()
 
     def insert(self, fp: StoredFingerprint) -> int:
         """Add one entry; returns its insertion sequence number."""
-        if self.dim is None:
-            self.dim = fp.dim
-        if fp.dim != self.dim:
-            raise DimensionMismatch(fp.dim, self.dim, f"entry {fp.id}")
-        if fp.id in self._id_index:
-            raise ValueError(f"duplicate fingerprint id {fp.id!r}")
-        seq = len(self._entries)
-        # An entry that already carries its sequence number (as the snapshot
-        # loader builds them) is kept, and its number object shared with the
-        # index, instead of being copied and validated again.
-        entry = fp if fp.inserted_at == seq else replace(fp, inserted_at=seq)
+        alpha = math.nan if fp.alpha is None else PrivacyBudget.of(fp.alpha).alpha
         with self._lock:
-            self._entries.append(entry)
-            self._id_index[fp.id] = entry.inserted_at
+            if self.dim is None:
+                self.dim = fp.dim
+            if fp.dim != self.dim:
+                raise DimensionMismatch(fp.dim, self.dim, f"entry {fp.id}")
+            if fp.id in self._id_index:
+                raise ValueError(f"duplicate fingerprint id {fp.id!r}")
+            seq = len(self._ids)
+            self._ids.append(fp.id)
+            self._alphas.append(alpha)
+            self._metadata.append(self._share(fp.metadata))
+            self._pending.append(fp.bits)
+            self._id_index[fp.id] = seq
         return seq
 
     def insert_many(self, fps: Iterable[StoredFingerprint]) -> int:
@@ -161,54 +219,52 @@ class FingerprintStore:
             count += 1
         return count
 
+    def _share(self, metadata: dict[str, str]) -> dict[str, str]:
+        """The store's one dict with this content, in this key order."""
+        key = tuple(metadata.items())
+        shared = self._shared_metadata.get(key)
+        if shared is None:
+            shared = self._shared_metadata[key] = dict(metadata)
+        return shared
+
     # -- search ----------------------------------------------------------------
 
-    def _pack(self, start: int, stop: int) -> np.ndarray:
-        """Entries [start, stop) as a column-major (stop - start, words)
-        matrix; the joined payload bytes are freed on return."""
-        rows = np.frombuffer(b"".join(e.bits for e in self._entries[start:stop]),
-                             dtype=np.uint8)
-        return kernels.rows_to_words(
-            rows.reshape(stop - start, packed_length(self.dim)))
-
-    def _word_matrix(self) -> np.ndarray:
-        """The (n, words) view of the packed matrix, after writing in the
-        entries inserted since the last call."""
+    def word_matrix(self) -> np.ndarray:
+        """The (n, words) uint64 view of every entry's bits that the scans
+        read, after writing in the entries inserted since the last call."""
         with self._lock:
-            n = len(self._entries)
+            n = len(self._ids)
             if n == 0:
                 return np.zeros((0, 1), dtype=np.uint64)
             if self._covered < n:
-                new = self._pack(self._covered, n).T
+                rows = np.frombuffer(b"".join(self._pending), dtype=np.uint8)
+                new = kernels.rows_to_words(
+                    rows.reshape(n - self._covered, self._n_bytes())).T
                 old, done = self._words, self._covered
                 if old is None:
                     self._words = new
                 else:
                     if old.shape[1] < n:
-                        # An anonymous mapping rather than np.empty, which
-                        # asks for transparent huge pages on large arrays:
-                        # those would make the unused tail of every word row
-                        # resident as soon as its head is written.
-                        shape = (old.shape[0], max(n, 2 * old.shape[1]))
-                        buf = mmap.mmap(-1, shape[0] * shape[1] * kernels.WORD_BYTES)
-                        self._words = np.frombuffer(buf, dtype=np.uint64).reshape(shape)
+                        self._words = _alloc_words(old.shape[0],
+                                                   max(n, 2 * old.shape[1]))
                         self._words[:, :done] = old[:, :done]
                     self._words[:, done:n] = new
+                self._pending = []
                 self._covered = n
             return self._words[:, :n].T
 
     def _distances(self, query: QueryLike) -> np.ndarray:
-        data = _query_bytes(query, self.dim)
-        words = self._word_matrix()
+        data = query_bytes(query, self.dim)
+        words = self.word_matrix()
         return kernels.scan_distances(words, kernels.bytes_to_words(data))
 
     def _ordered(self, idx: np.ndarray, distances: np.ndarray,
                  query_metadata: dict[str, str] | None) -> list[MatchResult]:
         order = np.lexsort((idx, distances[idx]))
-        return [MatchResult(id=self._entries[i].id,
+        return [MatchResult(id=self._ids[i],
                             distance=int(distances[i]),
                             metadata_overlap=_metadata_overlap(
-                                self._entries[i].metadata, query_metadata))
+                                self._metadata[i], query_metadata))
                 for i in idx[order]]
 
     def search_threshold(self, query: QueryLike, tau: int,
@@ -220,7 +276,7 @@ class FingerprintStore:
             return []
         if not (0 <= tau <= self.dim):
             raise ValueError(f"tau must be in [0, {self.dim}], got {tau}")
-        if not self._entries:
+        if not self._ids:
             return []
         distances = self._distances(query)
         idx = np.flatnonzero(distances <= tau)
@@ -238,7 +294,7 @@ class FingerprintStore:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self.dim is None or not self._entries:
+        if self.dim is None or not self._ids:
             return []
         distances = self._distances(query)
         n = distances.size
@@ -253,56 +309,31 @@ class FingerprintStore:
             idx = np.concatenate([less, equal])
         return self._ordered(idx, distances, query_metadata)
 
-    # -- benchmark ---------------------------------------------------------------
-
-    def scan_benchmark(self, queries: Sequence[QueryLike]) -> ScanReport:
-        """Time a per-query top-1 packed-Hamming scan over the whole store.
-
-        Queries are processed one at a time, mirroring how a correlation
-        service answers independent lookups. Packing the word matrix happens
-        before the timed region (index build cost).
-        """
-        words = self._word_matrix()
-        rows = [kernels.bytes_to_words(_query_bytes(q, self.dim)) for q in queries]
-        per_query: list[float] = []
-        t0 = time.perf_counter()
-        for row in rows:
-            tq = time.perf_counter()
-            distances = kernels.scan_distances(words, row)
-            _ = int(distances.argmin()) if distances.size else -1
-            per_query.append(time.perf_counter() - tq)
-        total = time.perf_counter() - t0
-        return ScanReport(mode="packed_hamming", corpus_size=len(self._entries),
-                          n_queries=len(queries), total_seconds=total,
-                          per_query_seconds=per_query,
-                          backend=kernels.active_backend())
-
     # -- persistence ---------------------------------------------------------------
 
     def save_snapshot(self, path: str | Path) -> None:
         """Write the length-prefixed snapshot format (id, alpha, metadata,
-        packed bits per record). The file
-        is replaced atomically: a failed save leaves the old one intact."""
+        packed bits per record). The file is replaced atomically: a failed
+        save leaves the old one intact."""
+        words = self.word_matrix()
+        encoded: dict[int, bytes] = {}      # id of a shared metadata dict
         with atomic_output(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<II", self.dim or 0, len(self._entries)))
-            for e in self._entries:
-                ident = e.id.encode("utf-8")
-                fh.write(struct.pack("<I", len(ident)))
-                fh.write(ident)
-                if e.alpha is None:
-                    fh.write(b"\x00")
-                else:
-                    fh.write(b"\x01")
-                    fh.write(struct.pack("<d", e.alpha))
-                fh.write(struct.pack("<I", len(e.metadata)))
-                for key in sorted(e.metadata):
-                    kb, vb = key.encode("utf-8"), e.metadata[key].encode("utf-8")
-                    fh.write(struct.pack("<I", len(kb)))
-                    fh.write(kb)
-                    fh.write(struct.pack("<I", len(vb)))
-                    fh.write(vb)
-                fh.write(e.bits)
+            out = bytearray(SNAPSHOT_MAGIC + _HEADER.pack(self.dim or 0, words.shape[0]))
+            for seq, bits in enumerate(_row_bytes(words, self._n_bytes())):
+                ident = self._ids[seq].encode("utf-8")
+                alpha = self._alphas[seq]
+                metadata = self._metadata[seq]
+                if id(metadata) not in encoded:
+                    encoded[id(metadata)] = _encode_metadata(metadata)
+                out += _U32.pack(len(ident))
+                out += ident
+                out += b"\x00" if math.isnan(alpha) else b"\x01" + _F64.pack(alpha)
+                out += encoded[id(metadata)]
+                out += bits
+                if len(out) >= _CHUNK:
+                    fh.write(out)
+                    del out[:]
+            fh.write(out)
 
     @classmethod
     def load_snapshot(cls, path: str | Path) -> "FingerprintStore":
@@ -310,51 +341,133 @@ class FingerprintStore:
         CorruptPayload."""
         path = Path(path)
         with open(path, "rb") as fh:
-
-            def take(n: int) -> bytes:
-                chunk = fh.read(n)
-                if len(chunk) != n:
-                    raise CorruptPayload(
-                        f"{path}: truncated at byte {fh.tell() - len(chunk)}")
-                return chunk
-
-            def u32() -> int:
-                return int.from_bytes(take(4), "little")
-
-            def text() -> str:
-                raw = take(u32())
-                try:
-                    return raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise CorruptPayload(f"{path}: string at byte "
-                                         f"{fh.tell() - len(raw)} is not UTF-8") from None
-
             magic = fh.read(len(SNAPSHOT_MAGIC))
             if magic != SNAPSHOT_MAGIC:
                 raise CorruptPayload(f"{path}: bad snapshot magic {magic!r}")
-            dim, count = u32(), u32()
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise CorruptPayload(f"{path}: truncated at byte {fh.tell()}")
+            dim, count = _HEADER.unpack(header)
             if count and not dim:
                 raise CorruptPayload(f"{path}: header gives dim 0 for {count} records")
             store = cls(dim=dim or None)
-            n_bytes = packed_length(dim)
-            for _ in range(count):
-                ident = text()
-                flag = take(1)
-                if flag not in (b"\x00", b"\x01"):
-                    raise CorruptPayload(
-                        f"{path}: bad alpha flag {flag!r} at byte {fh.tell() - 1}")
-                alpha = struct.unpack("<d", take(8))[0] if flag == b"\x01" else None
-                metadata = {}
-                for _ in range(u32()):
-                    key = text()
-                    metadata[key] = text()
-                bits = take(n_bytes)
-                try:
-                    store.insert(StoredFingerprint(id=ident, bits=bits, dim=dim,
-                                                   alpha=alpha, metadata=metadata,
-                                                   inserted_at=len(store)))
-                except ValueError as exc:
-                    raise CorruptPayload(f"{path}: record {ident!r}: {exc}") from None
-            if fh.read(1):
-                raise CorruptPayload(f"{path}: trailing bytes after {count} records")
+            _read_records(fh, path, store, count)
         return store
+
+
+def _read_records(fh, path: Path, store: FingerprintStore, count: int) -> None:
+    """Parse ``count`` snapshot records from ``fh`` into the empty
+    ``store``'s columns and a word matrix allocated once; the file must end
+    after them.
+
+    Records are parsed from buffered chunks of about ``_CHUNK`` bytes. A
+    record that runs past the buffer is moved to its front and the buffer
+    grows by at least its own size, so a record of any length is read in
+    time linear in that length. The bits of the records parsed from one
+    buffer are written into the matrix as one block.
+    """
+    n_bytes = store._n_bytes()
+    start_at = fh.tell()
+    room = os.fstat(fh.fileno()).st_size - start_at
+    smallest = 2 * _U32.size + 1 + n_bytes      # empty id and metadata, no alpha
+    if count * smallest > room:
+        raise CorruptPayload(f"{path}: header gives {count} records, but "
+                             f"{room} bytes cannot hold them")
+    words = _alloc_words(kernels.words_per_row(n_bytes), count) if count else None
+    ids, index, metadata = store._ids, store._id_index, store._metadata
+    alphas = store._alphas
+    shared: dict[bytes, dict[str, str]] = {}    # encoded metadata -> its dict
+    u32, f64 = _U32.unpack_from, _F64.unpack_from
+    buf = fh.read(_CHUNK)
+    base = start_at     # file offset of buf[0]
+    pos = 0
+    bits_at: list[int] = []     # offsets in buf of bits not yet in words
+    done = 0                    # records whose bits are in words
+
+    def flush() -> None:
+        nonlocal done
+        if bits_at:
+            rows = sliding_window_view(np.frombuffer(buf, dtype=np.uint8), n_bytes)
+            kernels.fill_words(words[:, done:done + len(bits_at)], rows[bits_at])
+            done += len(bits_at)
+            bits_at.clear()
+
+    seq = 0
+    while seq < count:
+        record = pos
+        try:
+            (length,) = u32(buf, pos)
+            raw_id = buf[pos + 4:pos + 4 + length]
+            pos += 4 + length
+            flag = buf[pos]
+            if flag == 1:
+                (alpha,) = f64(buf, pos + 1)
+                if alpha != alpha:
+                    raise CorruptPayload(f"{path}: alpha at byte {base + pos + 1} is NaN")
+                pos += 9
+            elif flag == 0:
+                alpha = math.nan
+                pos += 1
+            else:
+                raise CorruptPayload(
+                    f"{path}: bad alpha flag {bytes([flag])!r} at byte {base + pos}")
+            meta_at = pos
+            (pairs,) = u32(buf, pos)
+            pos += 4
+            for _ in range(2 * pairs):
+                pos += 4 + u32(buf, pos)[0]
+            if pos + n_bytes > len(buf):
+                raise IndexError
+        except (struct.error, IndexError):
+            flush()
+            more = fh.read(max(_CHUNK, len(buf) - record))
+            if not more:
+                raise CorruptPayload(f"{path}: truncated at byte {base + len(buf)}") from None
+            base += record
+            buf = buf[record:] + more
+            pos = 0
+            continue
+        ident = _decode_text(raw_id, path, base + record + 4)
+        if not ident:
+            raise CorruptPayload(f"{path}: record {seq} has an empty id")
+        if ident in index:
+            raise CorruptPayload(f"{path}: duplicate fingerprint id {ident!r}")
+        raw_meta = buf[meta_at:pos]
+        meta = shared.get(raw_meta)
+        if meta is None:
+            meta = shared[raw_meta] = _decode_metadata(raw_meta, path, base + meta_at)
+        index[ident] = seq
+        ids.append(ident)
+        alphas.append(alpha)
+        metadata.append(meta)
+        bits_at.append(pos)
+        pos += n_bytes
+        seq += 1
+    flush()
+    if pos < len(buf) or fh.read(1):
+        raise CorruptPayload(f"{path}: trailing bytes after {count} records")
+    if count:
+        _check_columns(path, store.dim, ids, alphas, words)
+        store._words, store._covered = words, count
+    store._shared_metadata = {tuple(m.items()): m for m in shared.values()}
+
+
+def _check_columns(path: Path, dim: int, ids: list[str], alphas: array,
+                   words: np.ndarray) -> None:
+    """Vectorized checks of a loaded store: zero padding bits in every
+    row's last byte, and a valid PrivacyBudget for every alpha set."""
+    mask = padding_mask(dim)
+    if mask:
+        last = packed_length(dim) - 1
+        shift = 8 * (last % kernels.WORD_BYTES)
+        bad = np.flatnonzero(words[last // kernels.WORD_BYTES] & np.uint64(mask << shift))
+        if bad.size:
+            raise CorruptPayload(f"{path}: record {ids[bad[0]]!r}: nonzero padding "
+                                 f"bits beyond index {dim - 1}")
+    column = np.frombuffer(alphas, dtype=np.float64)
+    for value in np.unique(column[~np.isnan(column)]):
+        try:
+            PrivacyBudget(float(value))
+        except ValueError as exc:
+            first = int(np.flatnonzero(column == value)[0])
+            raise CorruptPayload(f"{path}: record {ids[first]!r}: {exc}") from None

@@ -110,6 +110,13 @@ class TestFrameFormat:
         with pytest.raises(FrameDecodeError, match="JSON"):
             decode_frame(b"garbage{")
 
+    def test_invalid_utf8_rejected(self):
+        frame = encode_frame(_composite())
+        assert b'"origin_service":"S1"' in frame
+        with pytest.raises(FrameDecodeError) as err:
+            decode_frame(frame.replace(b'"S1"', b'"S\xff1"'))
+        assert err.value.field == "<frame>" and "UTF-8" in str(err.value)
+
     def test_metadata_newline_rejected(self):
         with pytest.raises(ValueError, match="newline"):
             _composite(metadata={"k": "line1\nline2"})

@@ -1,14 +1,22 @@
+import struct
 import sys
+import tempfile
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binaryshield.bench import (dense_scan_benchmark, make_random_store,
-                                random_bit_rows, random_unit_rows)
+                                random_bit_rows, random_unit_rows, scan_benchmark)
 from binaryshield.errors import CorruptPayload, DimensionMismatch
 from binaryshield.fingerprint import pack_bits, unpack_bits
-from binaryshield.store import FingerprintStore, MatchResult, StoredFingerprint
+from binaryshield import store as store_module
+from binaryshield.store import (SNAPSHOT_MAGIC, FingerprintStore, MatchResult,
+                                StoredFingerprint)
 
 from conftest import naive_hamming_bits
 
@@ -364,7 +372,7 @@ class TestSnapshot:
 class TestScanBenchmark:
     def test_zero_queries_valid_empty_report(self):
         store = make_random_store(10, 64, seed=24)
-        report = store.scan_benchmark([])
+        report = scan_benchmark(store, [])
         assert report.n_queries == 0
         assert report.mean_query_seconds == 0.0
         assert report.corpus_size == 10
@@ -372,7 +380,7 @@ class TestScanBenchmark:
     def test_packed_report_fields(self):
         store = make_random_store(100, 768, seed=25)
         queries = [_random_packed(768, 300 + i) for i in range(5)]
-        report = store.scan_benchmark(queries)
+        report = scan_benchmark(store, queries)
         assert report.mode == "packed_hamming"
         assert report.n_queries == 5
         assert len(report.per_query_seconds) == 5
@@ -386,3 +394,180 @@ class TestScanBenchmark:
         report = dense_scan_benchmark(matrix, queries)
         assert report.mode == "dense_cosine"
         assert report.n_queries == 3
+
+
+BAD_ALPHAS = [float("nan"), -3.0, 0.0, float("inf"), float("-inf")]
+
+
+def _snapshot(dim, records):
+    """A .bsfp written by hand from (id, alpha, metadata, bits) tuples, so
+    a record can hold what save_snapshot would never write."""
+    out = [SNAPSHOT_MAGIC, struct.pack("<II", dim, len(records))]
+    for ident, alpha, metadata, bits in records:
+        raw = ident.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw]
+        out.append(b"\x00" if alpha is None else b"\x01" + struct.pack("<d", alpha))
+        out.append(struct.pack("<I", len(metadata)))
+        for key, value in metadata.items():
+            for text in (key.encode("utf-8"), value.encode("utf-8")):
+                out += [struct.pack("<I", len(text)), text]
+        out.append(bits)
+    return b"".join(out)
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=str)
+    def test_insert_rejects_invalid_alpha(self, alpha):
+        store = FingerprintStore()
+        store.insert(_fp("ok", [1, 0] * 12, alpha=2.0))
+        with pytest.raises(ValueError, match="alpha"):
+            store.insert(_fp("bad", [0, 1] * 12, alpha=alpha))
+        assert len(store) == 1 and [e.id for e in store] == ["ok"]
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=str)
+    def test_load_rejects_invalid_alpha(self, tmp_path, alpha):
+        path = tmp_path / "s.bsfp"
+        bits = pack_bits([1, 0] * 12)
+        path.write_bytes(_snapshot(24, [("ok", 2.0, {}, bits), ("bad", alpha, {}, bits)]))
+        with pytest.raises(CorruptPayload, match="alpha"):
+            FingerprintStore.load_snapshot(path)
+
+
+class TestColumnarEquivalence:
+    def test_interleaved_store_matches_one_at_a_time_and_reload(self, tmp_path):
+        dim, n = 75, 240
+        rows = random_bit_rows(n, dim, seed=41)
+        queries = [random_bit_rows(1, dim, seed=42 + i)[0].tobytes() for i in range(4)]
+        metas = [{}, {"tool": "email"}, {"tool": "email", "region": "eu"},
+                 {"region": "us", "tool": "web"}]
+        fps = [StoredFingerprint(id=f"m{i}", bits=rows[i].tobytes(), dim=dim,
+                                 alpha=None if i % 3 == 0 else 0.5 + i % 4,
+                                 metadata=dict(metas[i % 4]))
+               for i in range(n)]
+        query_meta = {"tool": "email", "region": "eu"}
+
+        def searches(store, tau):
+            return [(store.search_topk(q, 7, query_metadata=query_meta),
+                     store.search_threshold(q, tau, query_metadata=query_meta))
+                    for q in queries]
+
+        rng = np.random.Generator(np.random.Philox(key=43))
+        live, done = FingerprintStore(), 0
+        while done < n:
+            step = min(n - done, int(rng.integers(1, 40)))
+            for fp in fps[done:done + step]:
+                live.insert(fp)
+            done += step
+            one_go = FingerprintStore()
+            for fp in fps[:done]:
+                one_go.insert(fp)
+            tau = int(rng.integers(20, dim + 1))
+            assert searches(live, tau) == searches(one_go, tau)
+
+        paths = [tmp_path / name for name in ("live.bsfp", "one.bsfp", "again.bsfp")]
+        live.save_snapshot(paths[0])
+        one_go.save_snapshot(paths[1])
+        reloaded = FingerprintStore.load_snapshot(paths[0])
+        reloaded.save_snapshot(paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+        expected = [replace(fp, inserted_at=i) for i, fp in enumerate(fps)]
+        for store in (live, one_go, reloaded):
+            assert list(store) == expected
+            assert [store.get(fp.id) for fp in fps] == expected
+            assert store.payload_bytes() == n * 10
+            assert searches(store, 30) == searches(live, 30)
+
+    def test_returned_metadata_is_a_copy(self):
+        store = FingerprintStore()
+        for i in range(4):
+            store.insert(_fp(f"e{i}", [1, 0] * 12, metadata={"tool": "email"}))
+        store.get("e1").metadata["tool"] = "web"
+        next(iter(store)).metadata["extra"] = "x"
+        assert [e.metadata for e in store] == [{"tool": "email"}] * 4
+        results = store.search_topk(pack_bits([1, 0] * 12), 4,
+                                    query_metadata={"tool": "email"})
+        assert [r.metadata_overlap for r in results] == [1] * 4
+
+
+def _valid_snapshot() -> bytes:
+    store = FingerprintStore()
+    store.insert(_fp("a", _random_packed(75, 1), dim=75, alpha=2.0,
+                     metadata={"tool": "email"}))
+    store.insert(_fp("bb", _random_packed(75, 2), dim=75))
+    store.insert(_fp("ccc", _random_packed(75, 3), dim=75, alpha=0.5,
+                     metadata={"k": "v", "r": "eu"}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.bsfp"
+        store.save_snapshot(path)
+        return path.read_bytes()
+
+
+VALID_SNAPSHOT = _valid_snapshot()
+
+
+def _load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.bsfp"
+        path.write_bytes(data)
+        try:
+            return FingerprintStore.load_snapshot(path)
+        except CorruptPayload:
+            return None
+
+
+class TestSnapshotFuzz:
+    @given(st.one_of(st.binary(max_size=400),
+                     st.binary(max_size=400).map(lambda b: SNAPSHOT_MAGIC + b)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes_raise_only_corrupt_payload(self, data):
+        _load_bytes(data)
+
+    @given(st.integers(0, len(VALID_SNAPSHOT) - 1), st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_mutation_raises_only_corrupt_payload(self, at, value):
+        data = bytearray(VALID_SNAPSHOT)
+        data[at] = value
+        loaded = _load_bytes(bytes(data))
+        if loaded is not None:
+            assert len(loaded) == 3
+
+    @given(st.integers(0, len(VALID_SNAPSHOT) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_truncation_raises_corrupt_payload(self, at):
+        assert _load_bytes(VALID_SNAPSHOT[:at]) is None
+
+    def test_record_longer_than_read_chunk(self, tmp_path):
+        store = FingerprintStore()
+        store.insert(_fp("before", _random_packed(768, 1), dim=768, alpha=1.0))
+        store.insert(_fp("blob", _random_packed(768, 2), dim=768,
+                         metadata={"v": "x" * (2 << 20)}))
+        store.insert(_fp("after", _random_packed(768, 3), dim=768,
+                         metadata={"v": "y"}))
+        path = tmp_path / "s.bsfp"
+        store.save_snapshot(path)
+        assert path.stat().st_size > 2 * store_module._CHUNK
+        loaded = FingerprintStore.load_snapshot(path)
+        assert list(loaded) == list(store)
+        loaded.save_snapshot(tmp_path / "again.bsfp")
+        assert (tmp_path / "again.bsfp").read_bytes() == path.read_bytes()
+
+    def test_every_field_straddling_a_chunk_edge(self, tmp_path):
+        # The filler's metadata moves the second record across the edge
+        # one byte at a time, so every field of it, the id included, is
+        # split by some chunk boundary near 1 MiB.
+        chunk, path = store_module._CHUNK, tmp_path / "s.bsfp"
+        second = _fp("id-straddles-edge", _random_packed(768, 5), dim=768, alpha=2.5,
+                     metadata={"k": "v"})
+        record = 4 + 17 + 9 + 4 + 10 + 96
+        base = len(_snapshot(768, [("filler", None, {"f": ""}, second.bits)]))
+        for start in range(chunk - record, chunk + 32):
+            store = FingerprintStore()
+            store.insert(_fp("filler", _random_packed(768, 4), dim=768,
+                             metadata={"f": "z" * (start - base)}))
+            store.insert(second)
+            store.insert(_fp("last", _random_packed(768, 6), dim=768))
+            store.save_snapshot(path)
+            assert path.read_bytes()[start + 4:start + 21] == b"id-straddles-edge"
+            loaded = FingerprintStore.load_snapshot(path)
+            assert list(loaded) == list(store)
