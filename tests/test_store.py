@@ -478,6 +478,14 @@ class TestColumnarEquivalence:
             assert store.payload_bytes() == n * 10
             assert searches(store, 30) == searches(live, 30)
 
+        # A loaded store keeps growing like any other.
+        extra = StoredFingerprint(id="late", bits=queries[0], dim=dim, alpha=1.0,
+                                  metadata={"tool": "email"})
+        for store in (live, reloaded):
+            assert store.insert(extra) == n
+        assert reloaded.get("late") == live.get("late") == replace(extra, inserted_at=n)
+        assert searches(reloaded, 30) == searches(live, 30)
+
     def test_returned_metadata_is_a_copy(self):
         store = FingerprintStore()
         for i in range(4):
