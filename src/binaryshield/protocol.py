@@ -15,7 +15,6 @@ import binascii
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -97,7 +96,7 @@ def encode_frame(f: CompositeFingerprint) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint:
+def decode_frame(data: bytes | str) -> CompositeFingerprint:
     """Parse and validate one frame; every failure names the bad field."""
     if isinstance(data, bytes):
         try:
@@ -115,9 +114,7 @@ def decode_frame(data: bytes | str, strict: bool = True) -> CompositeFingerprint
             raise FrameDecodeError(key, "missing required key")
     unknown = set(obj) - set(_FRAME_KEYS)
     if unknown:
-        if strict:
-            raise FrameDecodeError(sorted(unknown)[0], "unknown key in strict mode")
-        warnings.warn(f"ignoring unknown frame keys: {sorted(unknown)}")
+        raise FrameDecodeError(sorted(unknown)[0], "unknown key")
     if type(obj["version"]) is not int:
         raise FrameDecodeError("version", "must be an integer")
     for key in ("origin_service", "fingerprint_id", "bits_base64"):
@@ -180,7 +177,6 @@ class ServiceNode:
     service_id: str
     store: FingerprintStore
     tau: int
-    policy: str = "log"
 
     def __post_init__(self):
         if self.store.dim is not None and not (0 <= self.tau <= self.store.dim):

@@ -4,8 +4,8 @@ Entries are append-only and keep their arrival order; searches order
 results by (distance, insertion sequence) so seeded experiments reproduce
 identical match lists. The store is columnar: ids, alphas and metadata
 are kept as per-entry columns, and the packed bits only in one uint64
-word matrix, which the scan in :mod:`binaryshield.kernels` reads and each
-search extends with the entries inserted since the last one.
+word matrix, which the scan in :mod:`binaryshield.kernels` reads and
+``insert`` writes each new entry's column into.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,22 +41,15 @@ QueryLike = bytes | BinaryFingerprint
 
 @dataclass(frozen=True)
 class StoredFingerprint:
+    """One entry as given to ``FingerprintStore.insert``, which checks it,
+    or as ``get()`` and iteration rebuild it."""
+
     id: str
     bits: bytes
     dim: int
     alpha: float | None = None
     metadata: dict[str, str] = field(default_factory=dict)
     inserted_at: int | None = None
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("fingerprint id must be non-empty")
-        if len(self.bits) != packed_length(self.dim):
-            raise CorruptPayload(
-                f"entry {self.id}: payload is {len(self.bits)} bytes, "
-                f"expected {packed_length(self.dim)} for dim {self.dim}")
-        check_padding(self.bits, self.dim)
-        object.__setattr__(self, "bits", bytes(self.bits))
 
 
 @dataclass(frozen=True)
@@ -142,8 +135,7 @@ class FingerprintStore:
 
     Entry ``seq`` is ``_ids[seq]``, ``_alphas[seq]`` (NaN when it has no
     alpha) and ``_metadata[seq]`` (one dict shared by every entry with the
-    same metadata). Its bits are column ``seq`` of the word matrix, or
-    ``_pending[seq - _covered]`` until the next search writes them in.
+    same metadata). Its bits are column ``seq`` of the word matrix.
     """
 
     def __init__(self, dim: int | None = None):
@@ -153,12 +145,10 @@ class FingerprintStore:
         self._alphas = array("d")
         self._metadata: list[dict[str, str]] = []
         self._shared_metadata: dict[tuple, dict[str, str]] = {}
-        self._pending: list[bytes] = []
-        # (words, capacity) uint64; its first _covered columns hold the
-        # bits of the first _covered entries. Columns past that are never
-        # touched, so spare capacity costs no resident memory.
-        self._words: np.ndarray | None = None
-        self._covered = 0
+        # (words, capacity) uint64; column seq holds entry seq's bits.
+        # Columns past len(self) are never touched, so spare capacity
+        # costs no resident memory.
+        self._words = np.zeros((0, 0), dtype=np.uint64)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -175,10 +165,7 @@ class FingerprintStore:
         """The entry with this id; its metadata dict is the caller's copy."""
         with self._lock:
             seq = self._id_index[entry_id]
-            if seq >= self._covered:
-                bits = self._pending[seq - self._covered]
-            else:
-                bits = self._words[:, seq].tobytes()[: self._n_bytes()]
+            bits = self._words[:, seq].tobytes()[: self._n_bytes()]
         return self._entry(seq, bits)
 
     def _entry(self, seq: int, bits: bytes) -> StoredFingerprint:
@@ -195,29 +182,38 @@ class FingerprintStore:
         return len(self) * self._n_bytes()
 
     def insert(self, fp: StoredFingerprint) -> int:
-        """Add one entry; returns its insertion sequence number."""
+        """Check one entry, write its bits into the word matrix and return
+        its insertion sequence number. A rejected entry leaves the store
+        as it was."""
+        if not fp.id:
+            raise ValueError("fingerprint id must be non-empty")
+        if fp.dim < 1:
+            raise ValueError(f"entry {fp.id}: dim must be >= 1, got {fp.dim}")
+        if len(fp.bits) != packed_length(fp.dim):
+            raise CorruptPayload(
+                f"entry {fp.id}: payload is {len(fp.bits)} bytes, "
+                f"expected {packed_length(fp.dim)} for dim {fp.dim}")
+        check_padding(fp.bits, fp.dim)
         alpha = math.nan if fp.alpha is None else PrivacyBudget.of(fp.alpha).alpha
+        row = kernels.bytes_to_words(fp.bits)
         with self._lock:
-            if self.dim is None:
-                self.dim = fp.dim
-            if fp.dim != self.dim:
+            if self.dim is not None and fp.dim != self.dim:
                 raise DimensionMismatch(fp.dim, self.dim, f"entry {fp.id}")
             if fp.id in self._id_index:
                 raise ValueError(f"duplicate fingerprint id {fp.id!r}")
+            self.dim = fp.dim
             seq = len(self._ids)
+            if seq == self._words.shape[1]:         # full: double it
+                grown = _alloc_words(row.size, max(1, 2 * seq))
+                if seq:
+                    grown[:, :seq] = self._words
+                self._words = grown
+            self._words[:, seq] = row
             self._ids.append(fp.id)
             self._alphas.append(alpha)
             self._metadata.append(self._share(fp.metadata))
-            self._pending.append(fp.bits)
             self._id_index[fp.id] = seq
         return seq
-
-    def insert_many(self, fps: Iterable[StoredFingerprint]) -> int:
-        count = 0
-        for fp in fps:
-            self.insert(fp)
-            count += 1
-        return count
 
     def _share(self, metadata: dict[str, str]) -> dict[str, str]:
         """The store's one dict with this content, in this key order."""
@@ -231,27 +227,10 @@ class FingerprintStore:
 
     def word_matrix(self) -> np.ndarray:
         """The (n, words) uint64 view of every entry's bits that the scans
-        read, after writing in the entries inserted since the last call."""
+        read. Later inserts write only columns past n, or grow into a new
+        matrix, so the view never changes."""
         with self._lock:
-            n = len(self._ids)
-            if n == 0:
-                return np.zeros((0, 1), dtype=np.uint64)
-            if self._covered < n:
-                rows = np.frombuffer(b"".join(self._pending), dtype=np.uint8)
-                new = kernels.rows_to_words(
-                    rows.reshape(n - self._covered, self._n_bytes())).T
-                old, done = self._words, self._covered
-                if old is None:
-                    self._words = new
-                else:
-                    if old.shape[1] < n:
-                        self._words = _alloc_words(old.shape[0],
-                                                   max(n, 2 * old.shape[1]))
-                        self._words[:, :done] = old[:, :done]
-                    self._words[:, done:n] = new
-                self._pending = []
-                self._covered = n
-            return self._words[:, :n].T
+            return self._words[:, :len(self._ids)].T
 
     def _distances(self, query: QueryLike) -> np.ndarray:
         data = query_bytes(query, self.dim)
@@ -448,7 +427,7 @@ def _read_records(fh, path: Path, store: FingerprintStore, count: int) -> None:
         raise CorruptPayload(f"{path}: trailing bytes after {count} records")
     if count:
         _check_columns(path, store.dim, ids, alphas, words)
-        store._words, store._covered = words, count
+        store._words = words
     store._shared_metadata = {tuple(m.items()): m for m in shared.values()}
 
 

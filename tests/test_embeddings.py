@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binaryshield.embeddings import (EmbeddingCacheFile, FileCacheProvider,
                                      ProviderConfig, ProviderKind, PseudoEmbedder,
@@ -178,6 +182,50 @@ class TestCacheFileCorruption:
         path.write_bytes(b"BSEMB\x00\x00\x01" + b"\x00" * 8)
         with pytest.raises(CorruptPayload, match="dim 0"):
             EmbeddingCacheFile(path)
+
+
+def _valid_cache() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bsemb"
+        build_cache(["alpha", "beta"], PseudoEmbedder(dim=8), path)
+        return path.read_bytes()
+
+
+VALID_CACHE = _valid_cache()
+
+
+def _read_every_way(data: bytes) -> None:
+    """Open ``data`` as a cache through every reader and through
+    build_cache, each on its own copy; only CorruptPayload and
+    MissingEmbedding may escape, and those are swallowed."""
+    readers = (lambda p: EmbeddingCacheFile(p).keys(),
+               lambda p: EmbeddingCacheFile(p).get(content_key("alpha")),
+               lambda p: list(EmbeddingCacheFile(p).iter_records()),
+               lambda p: build_cache(["alpha", "gamma"], PseudoEmbedder(dim=8), p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bsemb"
+        for read in readers:
+            path.write_bytes(data)
+            try:
+                read(path)
+            except (CorruptPayload, MissingEmbedding):
+                pass
+
+
+class TestCacheFileFuzz:
+    @given(st.one_of(st.binary(max_size=300),
+                     st.binary(max_size=300).map(lambda b: VALID_CACHE[:8] + b),
+                     st.binary(max_size=300).map(lambda b: VALID_CACHE[:16] + b)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes_raise_only_typed_errors(self, data):
+        _read_every_way(data)
+
+    @given(st.integers(0, len(VALID_CACHE) - 1), st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_mutation_raises_only_typed_errors(self, at, value):
+        data = bytearray(VALID_CACHE)
+        data[at] = value
+        _read_every_way(bytes(data))
 
 
 class TestBuildCache:

@@ -1,6 +1,5 @@
 import base64
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -89,16 +88,11 @@ class TestFrameFormat:
         with pytest.raises(FrameDecodeError, match="alpha"):
             decode_frame(json.dumps(obj))
 
-    def test_unknown_key_strict_vs_lenient(self):
+    def test_unknown_key_rejected(self):
         obj = json.loads(encode_frame(_composite()))
         obj["surprise"] = 1
         with pytest.raises(FrameDecodeError, match="surprise"):
-            decode_frame(json.dumps(obj), strict=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            decoded = decode_frame(json.dumps(obj), strict=False)
-        assert decoded.fingerprint_id == obj["fingerprint_id"]
-        assert any("surprise" in str(w.message) for w in caught)
+            decode_frame(json.dumps(obj))
 
     def test_type_validation(self):
         obj = json.loads(encode_frame(_composite()))

@@ -84,8 +84,83 @@ class TestInsert:
     def test_nonzero_padding_rejected(self):
         # dim 75 leaves 5 padding bits in the last byte; set, they would
         # count in every word-scan distance to this entry
+        store = FingerprintStore()
         with pytest.raises(CorruptPayload, match="padding"):
-            StoredFingerprint(id="p", bits=b"\xff" * 10, dim=75)
+            store.insert(StoredFingerprint(id="p", bits=b"\xff" * 10, dim=75))
+
+
+def _entry75(ident, seed, **kw):
+    return StoredFingerprint(id=ident, bits=_random_packed(75, seed), dim=75, **kw)
+
+
+# Entries that insert rejects from a dim-75 store, whatever it holds, and
+# the error each raises.
+REJECTED = {
+    "empty id": (lambda: _entry75("", 90), ValueError, "non-empty"),
+    "wrong length": (lambda: StoredFingerprint(id="x", bits=b"\x00" * 9, dim=75),
+                     CorruptPayload, "expected 10"),
+    "nonzero padding": (lambda: StoredFingerprint(id="x", bits=b"\xff" * 10, dim=75),
+                        CorruptPayload, "padding"),
+    "wrong dim": (lambda: StoredFingerprint(id="x", bits=_random_packed(64, 91), dim=64),
+                  DimensionMismatch, "64"),
+    "bad alpha": (lambda: _entry75("x", 92, alpha=-3.0), ValueError, "alpha"),
+    "dim 0": (lambda: StoredFingerprint(id="x", bits=b"", dim=0), ValueError,
+              "dim must be >= 1"),
+    "dim -5": (lambda: StoredFingerprint(id="x", bits=b"", dim=-5), ValueError,
+               "dim must be >= 1"),
+}
+
+
+class TestInsertRejection:
+    """A rejected insert leaves the store exactly as it was: the same
+    length and dim, no trace of the entry, and the next valid entry takes
+    the next sequence number and is found on its own."""
+
+    @staticmethod
+    def _store(held):
+        store = FingerprintStore(dim=75)
+        for i in range(held):
+            store.insert(_entry75(f"held-{i}", 100 + i))
+        return store
+
+    @staticmethod
+    def _assert_unchanged(store, held, bad_id):
+        assert len(store) == held
+        if bad_id is not None:
+            with pytest.raises(KeyError):
+                store.get(bad_id)
+        assert [e.id for e in store] == [f"held-{i}" for i in range(held)]
+        valid = _entry75("next", 200)
+        assert store.insert(valid) == held
+        assert [r.id for r in store.search_threshold(valid.bits, 0)] == ["next"]
+        assert store.get("next").bits == valid.bits
+
+    @pytest.mark.parametrize("held", [0, 3])
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_entry_leaves_store_unchanged(self, case, held):
+        make, error, message = REJECTED[case]
+        entry, store = make(), self._store(held)
+        with pytest.raises(error, match=message):
+            store.insert(entry)
+        assert store.dim == 75
+        self._assert_unchanged(store, held, entry.id)
+
+    def test_duplicate_id(self):
+        store = self._store(3)
+        before = store.get("held-1")
+        with pytest.raises(ValueError, match="duplicate"):
+            store.insert(_entry75("held-1", 93))
+        assert store.get("held-1") == before
+        self._assert_unchanged(store, 3, None)
+
+    @pytest.mark.parametrize("dim", [0, -5])
+    def test_dim_below_one_leaves_dim_unset(self, dim):
+        store = FingerprintStore()
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            store.insert(StoredFingerprint(id="x", bits=b"", dim=dim))
+        assert store.dim is None
+        self._assert_unchanged(store, 0, "x")
+        assert store.dim == 75
 
 
 class TestSearchThreshold:
@@ -231,37 +306,54 @@ class TestSearchTopK:
             assert got_k == one_go.search_topk(query, 5)
             assert got_t == one_go.search_threshold(query, tau)
 
-    def test_concurrent_searches_extend_the_matrix_once(self):
-        # After each batch of inserts, several readers race to write the new
-        # entries into the word matrix; every reader must see them all.
-        dim = 75
-        rows = random_bit_rows(120, dim, seed=31)
+    def test_inserts_racing_searches(self):
+        # Two writers insert while four readers search, so the word matrix
+        # doubles under the readers. Every search must see a prefix of the
+        # store in insertion order, each entry at its true distance.
+        dim, n = 75, 240
+        rows = random_bit_rows(n, dim, seed=31)
         query = random_bit_rows(1, dim, seed=32)[0].tobytes()
-        store = FingerprintStore()
+        truth = {f"r{i}": naive_hamming_bits(rows[i].tobytes(), query, dim)
+                 for i in range(n)}
+        store = FingerprintStore(dim=dim)
+        seen: list[list[MatchResult]] = []
+        final: list[list[MatchResult]] = []     # each reader's last search
+        writing = threading.Event()
+        writing.set()
+
+        def writer(first):
+            for i in range(first, n, 2):
+                store.insert(StoredFingerprint(id=f"r{i}", bits=rows[i].tobytes(),
+                                               dim=dim))
+
+        def reader():
+            while writing.is_set():
+                seen.append(store.search_threshold(query, dim))
+            final.append(store.search_threshold(query, dim))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for batch in range(0, len(rows), 15):
-                for i in range(batch, batch + 15):
-                    store.insert(StoredFingerprint(id=f"r{i}", bits=rows[i].tobytes(),
-                                                   dim=dim))
-                expected = [(d, i) for d, _, i in oracle_sorted(store, query, dim)[:7]]
-                results = []
-
-                def reader():
-                    for _ in range(5):
-                        results.append([(r.distance, r.id)
-                                        for r in store.search_topk(query, 7)])
-
-                threads = [threading.Thread(target=reader) for _ in range(6)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                assert not any(t.is_alive() for t in threads)
-                assert results == [expected] * 30
+            writers = [threading.Thread(target=writer, args=(k,)) for k in range(2)]
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30)
+            writing.clear()
+            for t in readers:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in readers + writers)
         finally:
             sys.setswitchinterval(interval)
+
+        assert len(store) == n
+        order = {e.id: e.inserted_at for e in store}
+        assert all(store.get(f"r{i}").bits == rows[i].tobytes() for i in range(n))
+        for results in seen + final:
+            assert all(r.distance == truth[r.id] for r in results)
+            assert sorted(order[r.id] for r in results) == list(range(len(results)))
+        assert [len(results) for results in final] == [n] * 4
 
     def test_query_with_nonzero_padding_rejected(self):
         store = make_random_store(5, 75, seed=29)
