@@ -1,16 +1,15 @@
 """``binaryshield`` command-line interface.
 
-Configuration layering for shared knobs (dim, alpha, seed, tau, provider):
-explicit flag > BINARYSHIELD_* environment variable > --config JSON file >
-built-in default. Outputs are written atomically (temp file + rename) so a
-failed run never leaves a truncated artifact. Exit codes: 0 success,
-1 data/runtime error, 2 usage error.
+Shared knobs are :class:`Knob` options: explicit flag > BINARYSHIELD_<NAME>
+environment variable > --config JSON file > built-in default. Outputs are
+written atomically (temp file + rename) so a failed run never leaves a
+truncated artifact. Exit codes: 0 success, 1 data/runtime error, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from functools import wraps
 from pathlib import Path
 
@@ -20,9 +19,9 @@ from . import bench as bench_mod
 from .atomicio import atomic_output
 from .embeddings import (ProviderConfig, ProviderKind, build_cache, make_provider)
 from .errors import BinaryShieldError
-from .evaluation import (BinaryShieldMethod, SimHashMethod, accuracy_at_k,
-                         alpha_sweep, calibrate_noise, load_corpus, load_pairs,
-                         pr_sweep, storage_report, write_corpus_jsonl,
+from .evaluation import (BinaryShieldMethod, SimHashMethod, _iter_jsonl,
+                         accuracy_at_k, alpha_sweep, calibrate_noise, load_corpus,
+                         load_pairs, pr_sweep, storage_report, write_corpus_jsonl,
                          write_pairs_jsonl)
 from .fingerprint import PrivacyBudget, quantize, randomize
 from .protocol import (compose, decode_frame, encode_frame, simulate_campaign,
@@ -34,20 +33,50 @@ from .store import FingerprintStore, StoredFingerprint
 from .synthetic import SyntheticGenerator
 from .textproc import derive_seed
 
-DEFAULTS = {"dim": 768, "alpha": 2.0, "seed": 0, "tau": None, "provider": "pseudo"}
+
+class Knob(click.Option):
+    """A shared knob. Click reads the flag, then BINARYSHIELD_<NAME>, then
+    :meth:`get_default`: the --config entry of that name, else the declared
+    default; it casts and checks the value from each source alike."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.envvar = f"BINARYSHIELD_{self.name.upper()}"
+
+    def get_default(self, ctx, call=True):
+        if self.name in (ctx.obj or {}):
+            return ctx.obj[self.name]
+        return super().get_default(ctx, call)
 
 
-def _resolve(ctx, name, flag_value, cast=str):
-    """flag > env > config file > default, applied uniformly."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(f"BINARYSHIELD_{name.upper()}")
-    if env is not None:
-        return cast(env)
-    config = (ctx.obj or {}).get("config", {})
-    if name in config:
-        return cast(config[name])
-    return DEFAULTS.get(name)
+def _knob(*decls, **kwargs):
+    return click.option(*decls, cls=Knob, show_default=True, show_envvar=True,
+                        **kwargs)
+
+
+def _provider(*kinds, **kwargs):
+    return _knob("--provider", type=click.Choice(kinds), default="pseudo", **kwargs)
+
+
+def _budget_or_none(ctx, param, value):
+    """A privacy budget, or None for 'none' (the noise-free pipeline)."""
+    try:
+        return None if value == "none" else PrivacyBudget.of(value).alpha
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is neither a positive finite number nor 'none'") from None
+
+
+DIM = _knob("--dim", type=int, default=768)
+ALPHA = _knob("--alpha", type=click.FloatRange(min=0, min_open=True), default=2.0)
+SEED = _knob("--seed", type=int, default=0)
+ENDPOINT_URL = _knob("--endpoint-url", default=None)
+API_KEY_ENV = _knob("--api-key-env", default=None)
+CACHE_PATH = _knob("--cache-path", default=None)
+EVAL_ALPHA = _knob("--alpha", default="2.0", callback=_budget_or_none,
+                   help="privacy budget, or 'none'")
+EVAL_PROVIDER = _provider("pseudo", "file_cache",
+                          help="embedding source (file_cache for replication)")
 
 
 def _data_errors(fn):
@@ -64,8 +93,6 @@ def _data_errors(fn):
 
 
 def _read_prompt_records(path: Path) -> list[dict]:
-    from .evaluation import _iter_jsonl
-
     records = []
     for lineno, obj in _iter_jsonl(path):
         if "id" not in obj or "text" not in obj:
@@ -79,30 +106,41 @@ def _read_prompt_records(path: Path) -> list[dict]:
     return records
 
 
-def _build_provider(ctx, provider, dim, model_id, endpoint_url, api_key_env,
-                    cache_path):
-    kind = _resolve(ctx, "provider", provider)
-    endpoint_url = _resolve(ctx, "endpoint_url", endpoint_url, str)
-    api_key_env = _resolve(ctx, "api_key_env", api_key_env, str)
-    cache_path = _resolve(ctx, "cache_path", cache_path, str)
-    model_id = model_id or f"{kind}-{dim}"
-    config = ProviderConfig(kind=ProviderKind(kind), dim=dim, model_id=model_id,
-                            endpoint_url=endpoint_url,
-                            api_key_env_var=api_key_env, cache_path=cache_path)
-    return make_provider(config)
+def _build_provider(kind, dim, model_id=None, endpoint_url=None, api_key_env=None,
+                    cache_path=None):
+    return make_provider(ProviderConfig(
+        kind=ProviderKind(kind), dim=dim, model_id=model_id or f"{kind}-{dim}",
+        endpoint_url=endpoint_url, api_key_env_var=api_key_env, cache_path=cache_path))
+
+
+def _emit(text: str, out_path: str | None):
+    if out_path:
+        with atomic_output(out_path) as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON config file for shared defaults.")
+              default=None,
+              help="JSON object of strings and numbers: defaults for the shared knobs.")
 @click.pass_context
 def main(ctx, config_path):
     """Privacy-preserving fingerprinting and correlation of flagged prompts."""
-    ctx.ensure_object(dict)
-    if config_path:
-        ctx.obj["config"] = json.loads(Path(config_path).read_text("utf-8"))
-    else:
-        ctx.obj["config"] = {}
+    if not config_path:
+        return
+    try:
+        config = json.loads(Path(config_path).read_text("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise click.BadParameter(f"not valid JSON: {exc}",
+                                 param_hint="--config") from None
+    if not isinstance(config, dict) or not all(
+            isinstance(v, (str, int, float)) and not isinstance(v, bool)
+            for v in config.values()):
+        raise click.BadParameter("must be a JSON object of strings and numbers",
+                                 param_hint="--config")
+    ctx.obj = config
 
 
 # -- fingerprint ---------------------------------------------------------------
@@ -112,27 +150,22 @@ def main(ctx, config_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--service-id", default="local", show_default=True)
-@click.option("--dim", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--provider", type=click.Choice(["pseudo", "file_cache", "remote_http"]),
-              default=None)
+@DIM
+@ALPHA
+@SEED
+@_provider("pseudo", "file_cache", "remote_http")
 @click.option("--model-id", default=None)
-@click.option("--endpoint-url", default=None)
-@click.option("--api-key-env", default=None)
-@click.option("--cache-path", default=None)
+@ENDPOINT_URL
+@API_KEY_ENV
+@CACHE_PATH
 @click.option("--rules", "rules_path", type=click.Path(exists=True), default=None)
-@click.pass_context
 @_data_errors
-def fingerprint(ctx, input_path, out_path, service_id, dim, alpha, seed, provider,
+def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
                 model_id, endpoint_url, api_key_env, cache_path, rules_path):
     """Turn prompts (JSONL: id, text, metadata?) into wire frames."""
-    dim = _resolve(ctx, "dim", dim, int)
-    alpha = _resolve(ctx, "alpha", alpha, float)
-    seed = _resolve(ctx, "seed", seed, int)
     redactor = Redactor.from_config(rules_path) if rules_path else Redactor.default()
-    prov = _build_provider(ctx, provider, dim, model_id, endpoint_url,
-                           api_key_env, cache_path)
+    prov = _build_provider(provider, dim, model_id, endpoint_url, api_key_env,
+                           cache_path)
     records = _read_prompt_records(Path(input_path))
     frames: list[bytes] = []
     failures: list[str] = []
@@ -225,20 +258,18 @@ def embed_cache():
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="CorpusRecord JSONL")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--provider", type=click.Choice(["pseudo", "remote_http"]),
-              default=None)
-@click.option("--dim", type=int, default=None)
+@_provider("pseudo", "remote_http")
+@DIM
 @click.option("--model-id", default=None)
-@click.option("--endpoint-url", default=None)
-@click.option("--api-key-env", default=None)
+@ENDPOINT_URL
+@API_KEY_ENV
 @click.option("--redact/--no-redact", "do_redact", default=True,
               show_default=True,
               help="Redact before embedding. Use --no-redact when building a "
                    "cache for the eval harness, which looks texts up as-is.")
 @click.option("--rules", "rules_path", type=click.Path(exists=True), default=None)
-@click.pass_context
 @_data_errors
-def embed_cache_build(ctx, input_path, pairs_path, corpus_path, out_path,
+def embed_cache_build(input_path, pairs_path, corpus_path, out_path,
                       provider, dim, model_id, endpoint_url, api_key_env,
                       do_redact, rules_path):
     """Embed a dataset's texts through a source provider into a cache file."""
@@ -246,9 +277,7 @@ def embed_cache_build(ctx, input_path, pairs_path, corpus_path, out_path,
     if len(sources) != 1:
         raise click.UsageError(
             "specify exactly one of --input, --pairs or --corpus")
-    dim = _resolve(ctx, "dim", dim, int)
-    prov = _build_provider(ctx, provider, dim, model_id, endpoint_url,
-                           api_key_env, None)
+    prov = _build_provider(provider, dim, model_id, endpoint_url, api_key_env)
     if input_path:
         texts = [rec["text"] for rec in _read_prompt_records(Path(input_path))]
     elif pairs_path:
@@ -302,14 +331,14 @@ def store_build(input_path, out_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--query", "query_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--tau", type=int, default=None)
+@click.option("--tau", type=int, default=None,
+              help="Match radius; flag only, as it picks the mode against --topk.")
 @click.option("--topk", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
               default="json", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def search(ctx, store_path, query_path, tau, topk, fmt, out_path):
+def search(store_path, query_path, tau, topk, fmt, out_path):
     """Search a store snapshot with a fingerprint frame."""
     if (tau is None) == (topk is None):
         raise click.UsageError("specify exactly one of --tau or --topk")
@@ -332,11 +361,7 @@ def search(ctx, store_path, query_path, tau, topk, fmt, out_path):
     else:
         rows = [f"{r.id}\t{r.distance}\t{r.metadata_overlap}" for r in results]
         text = "id\tdistance\tmetadata_overlap\n" + "\n".join(rows) + "\n"
-    if out_path:
-        with atomic_output(out_path) as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(text, out_path)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -364,47 +389,29 @@ def eval_group():
     """Evaluation harness subcommands."""
 
 
-def _method_option(method, alpha, seed):
-    if method == "simhash":
-        return SimHashMethod()
-    return BinaryShieldMethod(alpha=None if alpha == "none" else float(alpha),
-                              seed=seed)
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with atomic_output(out_path) as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
 @eval_group.command(name="pr-sweep")
 @click.option("--pairs", "pairs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["binaryshield", "simhash"]),
               default="binaryshield", show_default=True)
-@click.option("--alpha", default="2.0", help="privacy budget, or 'none'")
-@click.option("--seed", type=int, default=None)
-@click.option("--dim", type=int, default=None)
-@click.option("--provider", type=click.Choice(["pseudo", "file_cache"]),
-              default=None, help="embedding source (file_cache for replication)")
-@click.option("--cache-path", default=None)
+@EVAL_ALPHA
+@SEED
+@DIM
+@EVAL_PROVIDER
+@CACHE_PATH
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def eval_pr_sweep(ctx, pairs_path, method, alpha, seed, dim, provider,
+def eval_pr_sweep(pairs_path, method, alpha, seed, dim, provider,
                   cache_path, out_path):
     """Precision-recall threshold sweep over labeled pairs."""
-    seed = _resolve(ctx, "seed", seed, int)
-    dim = _resolve(ctx, "dim", dim, int)
     loaded = load_pairs(pairs_path)
     if loaded.dropped_empty or loaded.dropped_duplicate:
         click.echo(f"dropped {loaded.dropped_empty} empty, "
                    f"{loaded.dropped_duplicate} duplicate pairs", err=True)
-    prov = _build_provider(ctx, provider, dim, None, None, None, cache_path)
-    result = pr_sweep(loaded.records, _method_option(method, alpha, seed),
-                      provider=prov)
+    prov = _build_provider(provider, dim, cache_path=cache_path)
+    result = pr_sweep(loaded.records,
+                      SimHashMethod() if method == "simhash"
+                      else BinaryShieldMethod(alpha=alpha, seed=seed), provider=prov)
     _emit(result.to_csv(), out_path)
     click.echo(f"optimal tau={result.optimal.tau} f1={result.optimal.f1:.4f}",
                err=True)
@@ -416,20 +423,16 @@ def eval_pr_sweep(ctx, pairs_path, method, alpha, seed, dim, provider,
 @click.option("--alphas", default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0",
               show_default=True)
 @click.option("--seeds-per-alpha", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--dim", type=int, default=None)
-@click.option("--provider", type=click.Choice(["pseudo", "file_cache"]),
-              default=None, help="embedding source (file_cache for replication)")
-@click.option("--cache-path", default=None)
+@SEED
+@DIM
+@EVAL_PROVIDER
+@CACHE_PATH
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def eval_alpha_sweep(ctx, pairs_path, alphas, seeds_per_alpha, seed, dim,
+def eval_alpha_sweep(pairs_path, alphas, seeds_per_alpha, seed, dim,
                      provider, cache_path, out_path):
     """Privacy-utility sweep: mean optimal metrics per alpha."""
-    seed = _resolve(ctx, "seed", seed, int)
-    dim = _resolve(ctx, "dim", dim, int)
-    prov = _build_provider(ctx, provider, dim, None, None, None, cache_path)
+    prov = _build_provider(provider, dim, cache_path=cache_path)
     loaded = load_pairs(pairs_path)
     result = alpha_sweep(loaded.records,
                          [float(a) for a in alphas.split(",") if a],
@@ -442,15 +445,12 @@ def eval_alpha_sweep(ctx, pairs_path, alphas, seeds_per_alpha, seed, dim,
 @click.option("--n-prompts", type=int, default=500, show_default=True)
 @click.option("--alphas", default="0.2,0.6,1.0,1.4,1.8,2.2,2.6,3.0,3.4",
               show_default=True)
-@click.option("--dim", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@DIM
+@SEED
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def eval_calibrate_noise(ctx, n_prompts, alphas, dim, seed, out_path):
+def eval_calibrate_noise(n_prompts, alphas, dim, seed, out_path):
     """Self-Hamming distortion vs the (1-p)d theory curve."""
-    seed = _resolve(ctx, "seed", seed, int)
-    dim = _resolve(ctx, "dim", dim, int)
     result = calibrate_noise(n_prompts, [float(a) for a in alphas.split(",") if a],
                              dim=dim, seed=seed)
     _emit(result.to_csv(), out_path)
@@ -464,45 +464,38 @@ def eval_calibrate_noise(ctx, n_prompts, alphas, dim, seed, out_path):
 @click.option("--method", type=click.Choice(["binaryshield", "simhash", "dense"]),
               default="binaryshield", show_default=True)
 @click.option("--k", "k_values", default="1,3,5", show_default=True)
-@click.option("--alpha", default="2.0", help="privacy budget, or 'none'")
-@click.option("--seed", type=int, default=None)
-@click.option("--dim", type=int, default=None)
-@click.option("--provider", type=click.Choice(["pseudo", "file_cache"]),
-              default=None, help="embedding source (file_cache for replication)")
-@click.option("--cache-path", default=None)
+@EVAL_ALPHA
+@SEED
+@DIM
+@EVAL_PROVIDER
+@CACHE_PATH
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def eval_accuracy_at_k(ctx, corpus_path, queries_path, method, k_values, alpha,
+def eval_accuracy_at_k(corpus_path, queries_path, method, k_values, alpha,
                        seed, dim, provider, cache_path, out_path):
     """Top-k retrieval accuracy over a hybrid corpus."""
-    seed = _resolve(ctx, "seed", seed, int)
-    dim = _resolve(ctx, "dim", dim, int)
-    prov = _build_provider(ctx, provider, dim, None, None, None, cache_path)
+    prov = _build_provider(provider, dim, cache_path=cache_path)
     corpus = load_corpus(corpus_path).records
     queries = load_corpus(queries_path).records
     result = accuracy_at_k(corpus, queries, method=method,
                            k_values=[int(k) for k in k_values.split(",") if k],
-                           alpha=None if alpha == "none" else float(alpha),
+                           alpha=alpha,
                            seed=seed, provider=prov)
     _emit(result.to_csv(), out_path)
 
 
 @eval_group.command(name="storage")
 @click.option("--count", type=int, required=True)
-@click.option("--dim", type=int, default=None)
+@DIM
 @click.option("--float-bytes", type=click.Choice(["4", "8"]), default="4",
               show_default=True)
 @click.option("--measure", is_flag=True,
               help="Also build a random store snapshot and report its size.")
-@click.option("--seed", type=int, default=None)
+@SEED
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def eval_storage(ctx, count, dim, float_bytes, measure, seed, out_path):
+def eval_storage(count, dim, float_bytes, measure, seed, out_path):
     """Dense vs binary storage accounting."""
-    dim = _resolve(ctx, "dim", dim, int)
-    seed = _resolve(ctx, "seed", seed, int)
     measured = None
     if measure:
         import tempfile
@@ -527,15 +520,12 @@ def bench():
 @bench.command(name="scan")
 @click.option("--size", type=int, default=100_000, show_default=True)
 @click.option("--queries", "n_queries", type=int, default=968, show_default=True)
-@click.option("--dim", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@DIM
+@SEED
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_data_errors
-def bench_scan(ctx, size, n_queries, dim, seed, out_path):
+def bench_scan(size, n_queries, dim, seed, out_path):
     """Packed-Hamming vs dense-cosine per-query scan timing."""
-    dim = _resolve(ctx, "dim", dim, int)
-    seed = _resolve(ctx, "seed", seed, int)
     report = bench_mod.efficiency_run(size, n_queries, dim=dim, seed=seed)
     _emit(report.to_json() + "\n", out_path)
     click.echo(f"packed {report.packed.total_seconds:.3f}s, "
@@ -558,13 +548,11 @@ def gen():
               default="PARAPHRASE", show_default=True)
 @click.option("--rate", type=float, default=0.7, show_default=True,
               help="eligible-token substitution rate for PARAPHRASE")
-@click.option("--seed", type=int, default=None)
+@SEED
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
 @_data_errors
-def gen_pairs(ctx, n_attack, n_benign, variant, rate, seed, out_path):
+def gen_pairs(n_attack, n_benign, variant, rate, seed, out_path):
     """Labeled attack-variant / benign pair JSONL."""
-    seed = _resolve(ctx, "seed", seed, int)
     pairs = SyntheticGenerator(seed).make_pairs(
         n_attack, n_benign, variant_type=VariantType(variant), rate=rate)
     with atomic_output(out_path) as fh:
@@ -578,16 +566,14 @@ def gen_pairs(ctx, n_attack, n_benign, variant, rate, seed, out_path):
 @click.option("--variants-per-group", type=int, default=3, show_default=True)
 @click.option("--queries-per-group", type=int, default=1, show_default=True)
 @click.option("--rate", type=float, default=0.7, show_default=True)
-@click.option("--seed", type=int, default=None)
+@SEED
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--queries-out", "queries_path", required=True,
               type=click.Path(dir_okay=False))
-@click.pass_context
 @_data_errors
-def gen_corpus(ctx, size, groups, variants_per_group, queries_per_group, rate,
+def gen_corpus(size, groups, variants_per_group, queries_per_group, rate,
                seed, out_path, queries_path):
     """Hybrid corpus (sparse attacks in benign traffic) plus queries."""
-    seed = _resolve(ctx, "seed", seed, int)
     corpus, queries = SyntheticGenerator(seed).make_hybrid_corpus(
         size, groups, variants_per_group=variants_per_group,
         queries_per_group=queries_per_group, rate=rate)
@@ -600,17 +586,13 @@ def gen_corpus(ctx, size, groups, variants_per_group, queries_per_group, rate,
 
 @gen.command(name="scenario")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None)
-@click.option("--dim", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--tau", type=int, default=280, show_default=True)
-@click.pass_context
+@SEED
+@DIM
+@ALPHA
+@_knob("--tau", type=int, default=280)
 @_data_errors
-def gen_scenario(ctx, out_dir, seed, dim, alpha, tau):
+def gen_scenario(out_dir, seed, dim, alpha, tau):
     """Three-service demo scenario with planted attack variants."""
-    seed = _resolve(ctx, "seed", seed, int)
-    dim = _resolve(ctx, "dim", dim, int)
-    alpha = _resolve(ctx, "alpha", alpha, float)
     path = write_demo_scenario(out_dir, seed=seed, dim=dim, alpha=alpha, tau=tau)
     click.echo(f"wrote scenario to {path}")
 

@@ -464,8 +464,11 @@ class LoadResult:
     dropped_duplicate: int = 0
 
 
-_PAIR_KEYS = {"id", "prompt_a", "prompt_b", "label", "variant_type"}
-_CORPUS_KEYS = {"id", "text", "is_attack"}
+# Each field's allowed JSON types; a field that allows null may be absent.
+_PAIR_FIELDS = {"id": (str,), "prompt_a": (str,), "prompt_b": (str,),
+                "label": (int,), "variant_type": (str,)}
+_CORPUS_FIELDS = {"id": (str,), "text": (str,), "is_attack": (bool,),
+                  "attack_group": (str, type(None))}
 
 
 def _iter_jsonl(path: str | Path):
@@ -486,6 +489,47 @@ def _iter_jsonl(path: str | Path):
             yield lineno, obj
 
 
+def _load_records(path: str | Path, fields: dict, build, content) -> LoadResult:
+    """The one record loop under :func:`load_pairs` and :func:`load_corpus`:
+    fields are type-checked before ``build`` runs, so every violation is a
+    ``SchemaError`` at path:line. Records whose ``content`` strings hold an
+    empty one, or repeat an earlier record's, are dropped and counted."""
+    records = []
+    seen_ids: set[str] = set()
+    seen_content: set[tuple[str, ...]] = set()
+    dropped_empty = dropped_duplicate = 0
+    for lineno, obj in _iter_jsonl(path):
+        where = {"path": str(path), "line": lineno}
+        missing = [k for k, kinds in fields.items()
+                   if k not in obj and type(None) not in kinds]
+        if missing:
+            raise SchemaError(f"missing field {sorted(missing)[0]!r}", **where)
+        unknown = set(obj) - set(fields)
+        if unknown:
+            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", **where)
+        for key, value in obj.items():
+            if type(value) not in fields[key]:
+                raise SchemaError(f"field {key!r} has the wrong type "
+                                  f"{type(value).__name__}", **where)
+        if obj["id"] in seen_ids:
+            raise SchemaError(f"duplicate id {obj['id']!r}", **where)
+        seen_ids.add(obj["id"])
+        try:
+            record = build(obj)
+        except ValueError as exc:
+            raise SchemaError(str(exc), **where) from None
+        key = content(record)
+        if not all(text.strip() for text in key):
+            dropped_empty += 1
+        elif key in seen_content:
+            dropped_duplicate += 1
+        else:
+            seen_content.add(key)
+            records.append(record)
+    return LoadResult(records=records, dropped_empty=dropped_empty,
+                      dropped_duplicate=dropped_duplicate)
+
+
 def load_pairs(path: str | Path) -> LoadResult:
     """Read PairRecord JSONL with strict validation.
 
@@ -493,113 +537,48 @@ def load_pairs(path: str | Path) -> LoadResult:
     (prompt_a, prompt_b) content are dropped and counted, mirroring the
     dataset filtering the experiments assume.
     """
-    records: list[PairRecord] = []
-    seen_ids: set[str] = set()
-    seen_content: set[tuple[str, str]] = set()
-    dropped_empty = dropped_duplicate = 0
-    for lineno, obj in _iter_jsonl(path):
-        missing = _PAIR_KEYS - set(obj)
-        if missing:
-            raise SchemaError(f"missing field {sorted(missing)[0]!r}",
-                              path=str(path), line=lineno)
-        unknown = set(obj) - _PAIR_KEYS
-        if unknown:
-            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}",
-                              path=str(path), line=lineno)
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"duplicate id {obj['id']!r}",
-                              path=str(path), line=lineno)
-        seen_ids.add(obj["id"])
-        try:
-            record = PairRecord(id=str(obj["id"]), prompt_a=str(obj["prompt_a"]),
-                                prompt_b=str(obj["prompt_b"]),
-                                label=int(obj["label"]),
-                                variant_type=VariantType(obj["variant_type"]))
-        except (ValueError, KeyError) as exc:
-            raise SchemaError(str(exc), path=str(path), line=lineno) from None
-        if not record.prompt_a.strip() or not record.prompt_b.strip():
-            dropped_empty += 1
-            continue
-        key = (record.prompt_a, record.prompt_b)
-        if key in seen_content:
-            dropped_duplicate += 1
-            continue
-        seen_content.add(key)
-        records.append(record)
-    return LoadResult(records=records, dropped_empty=dropped_empty,
-                      dropped_duplicate=dropped_duplicate)
+    return _load_records(
+        path, _PAIR_FIELDS,
+        lambda o: PairRecord(id=o["id"], prompt_a=o["prompt_a"],
+                             prompt_b=o["prompt_b"], label=o["label"],
+                             variant_type=VariantType(o["variant_type"])),
+        lambda r: (r.prompt_a, r.prompt_b))
 
 
 def load_corpus(path: str | Path) -> LoadResult:
     """Read CorpusRecord JSONL with strict validation; same drop rules as
     load_pairs (empty texts and exact duplicate texts)."""
-    records: list[CorpusRecord] = []
-    seen_ids: set[str] = set()
-    seen_text: set[str] = set()
-    dropped_empty = dropped_duplicate = 0
-    for lineno, obj in _iter_jsonl(path):
-        missing = _CORPUS_KEYS - set(obj)
-        if missing:
-            raise SchemaError(f"missing field {sorted(missing)[0]!r}",
-                              path=str(path), line=lineno)
-        unknown = set(obj) - _CORPUS_KEYS - {"attack_group"}
-        if unknown:
-            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}",
-                              path=str(path), line=lineno)
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"duplicate id {obj['id']!r}",
-                              path=str(path), line=lineno)
-        seen_ids.add(obj["id"])
-        try:
-            record = CorpusRecord(id=str(obj["id"]), text=str(obj["text"]),
-                                  is_attack=bool(obj["is_attack"]),
-                                  attack_group=obj.get("attack_group"))
-        except ValueError as exc:
-            raise SchemaError(str(exc), path=str(path), line=lineno) from None
-        if not record.text.strip():
-            dropped_empty += 1
-            continue
-        if record.text in seen_text:
-            dropped_duplicate += 1
-            continue
-        seen_text.add(record.text)
-        records.append(record)
-    return LoadResult(records=records, dropped_empty=dropped_empty,
-                      dropped_duplicate=dropped_duplicate)
+    return _load_records(
+        path, _CORPUS_FIELDS,
+        lambda o: CorpusRecord(id=o["id"], text=o["text"], is_attack=o["is_attack"],
+                               attack_group=o.get("attack_group")),
+        lambda r: (r.text,))
 
 
-def _open_sink(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8"), True
+def _write_jsonl(objs: Iterable[dict], dest) -> None:
+    """One compact JSON object per line, to a path or an open text handle."""
+    fh = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8")
+    try:
+        for obj in objs:
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    finally:
+        if fh is not dest:
+            fh.close()
 
 
 def write_pairs_jsonl(records: Iterable[PairRecord], dest) -> None:
     """Write PairRecord JSONL to a path or an open text handle."""
-    fh, owned = _open_sink(dest)
-    try:
-        for r in records:
-            fh.write(json.dumps({"id": r.id, "prompt_a": r.prompt_a,
-                                 "prompt_b": r.prompt_b, "label": r.label,
-                                 "variant_type": r.variant_type.value},
-                                separators=(",", ":")) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_jsonl(({"id": r.id, "prompt_a": r.prompt_a, "prompt_b": r.prompt_b,
+                   "label": r.label, "variant_type": r.variant_type.value}
+                  for r in records), dest)
 
 
 def write_corpus_jsonl(records: Iterable[CorpusRecord], dest) -> None:
-    """Write CorpusRecord JSONL to a path or an open text handle."""
-    fh, owned = _open_sink(dest)
-    try:
-        for r in records:
-            obj = {"id": r.id, "text": r.text, "is_attack": r.is_attack}
-            if r.attack_group is not None:
-                obj["attack_group"] = r.attack_group
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    """Write CorpusRecord JSONL to a path or an open text handle; a record
+    with no attack group has no attack_group key."""
+    _write_jsonl(({"id": r.id, "text": r.text, "is_attack": r.is_attack}
+                  | ({} if r.attack_group is None else {"attack_group": r.attack_group})
+                  for r in records), dest)
 
 
 # -- small statistics helpers ------------------------------------------------------

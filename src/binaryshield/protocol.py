@@ -28,6 +28,8 @@ from .store import FingerprintStore, StoredFingerprint
 from .textproc import derive_seed
 
 FRAME_VERSION = 1
+# The simulator's PseudoEmbedder keeps a dim-long float64 vector per token.
+MAX_SCENARIO_DIM = 1 << 16
 _FRAME_KEYS = ("version", "origin_service", "fingerprint_id", "dim", "alpha",
                "bits_base64", "metadata", "issued_at")
 
@@ -304,11 +306,20 @@ def _load_scenario(scenario: dict | str | Path) -> tuple[dict, Path | None]:
         path = Path(scenario)
         try:
             obj = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario is not valid JSON: {exc.msg}",
-                              path=str(path), line=exc.lineno) from None
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep
+            raise SchemaError(f"scenario is not valid JSON: {exc}",
+                              path=str(path)) from None
         return obj, path
-    return dict(scenario), None
+    return scenario, None
+
+
+def _field(obj, key: str, kinds: tuple, where: str, owner: str):
+    """``obj[key]``; ``obj`` must be an object holding ``key`` as one of the
+    JSON types ``kinds`` (a bool is not a number here)."""
+    if not isinstance(obj, dict) or key not in obj or type(obj[key]) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise SchemaError(f"{owner} needs key {key!r} of type {names}", path=where)
+    return obj[key]
 
 
 def simulate_campaign(scenario: dict | str | Path,
@@ -326,29 +337,41 @@ def simulate_campaign(scenario: dict | str | Path,
 
     obj, base_path = _load_scenario(scenario)
     where = str(base_path) if base_path else "<scenario>"
-    for key in ("dim", "alpha", "seed", "services", "events"):
-        if key not in obj:
-            raise SchemaError(f"scenario missing required key {key!r}", path=where)
-    dim, alpha, seed = int(obj["dim"]), float(obj["alpha"]), int(obj["seed"])
+    dim = _field(obj, "dim", (int,), where, "scenario")
+    alpha = _field(obj, "alpha", (int, float), where, "scenario")
+    seed = _field(obj, "seed", (int,), where, "scenario")
+    services = _field(obj, "services", (list,), where, "scenario")
+    events = _field(obj, "events", (list,), where, "scenario")
+    if not (1 <= dim <= MAX_SCENARIO_DIM and 0 < alpha <= sys.float_info.max):
+        raise SchemaError(f"needs dim in [1, {MAX_SCENARIO_DIM}] and a positive "
+                          f"finite alpha, got dim {dim}, alpha {alpha}", path=where)
+    alpha = float(alpha)
     config = PipelineConfig(redactor=redactor or Redactor.default(),
                             provider=PseudoEmbedder(dim=dim), alpha=alpha,
                             base_seed=seed, dim=dim)
 
     nodes: dict[str, ServiceNode] = {}
     corpora: dict[str, dict[str, object]] = {}
-    for svc in obj["services"]:
-        for key in ("service_id", "corpus", "tau"):
-            if key not in svc:
-                raise SchemaError(f"service entry missing {key!r}", path=where)
-        service_id = svc["service_id"]
+    for svc in services:
+        service_id = _field(svc, "service_id", (str,), where, "service entry")
+        corpus = _field(svc, "corpus", (str,), where, "service entry")
+        tau = _field(svc, "tau", (int,), where, "service entry")
         if service_id in nodes:
             raise SchemaError(f"duplicate service_id {service_id!r}", path=where)
-        corpus_path = Path(svc["corpus"])
+        if not 0 <= tau <= dim:
+            raise SchemaError(f"service {service_id!r}: tau {tau} outside "
+                              f"[0, {dim}]", path=where)
+        corpus_path = Path(corpus)
         if base_path and not corpus_path.is_absolute():
             corpus_path = base_path.parent / corpus_path
-        records = load_corpus(corpus_path).records
+        try:
+            records = load_corpus(corpus_path).records
+        except SchemaError:
+            raise
+        except ValueError as exc:  # NUL in the path, bytes that are not UTF-8
+            raise SchemaError(f"corpus {corpus!r}: {exc}", path=where) from None
         node = ServiceNode(service_id=service_id,
-                           store=FingerprintStore(dim=dim), tau=int(svc["tau"]))
+                           store=FingerprintStore(dim=dim), tau=tau)
         for rec in records:
             meta = {"attack_group": rec.attack_group} if rec.attack_group else {}
             ingest_detection(node, rec.text, meta, config, fingerprint_id=rec.id)
@@ -359,23 +382,30 @@ def simulate_campaign(scenario: dict | str | Path,
     totals = {sid: {"events_detected": 0, "replies_sent": 0, "matches_reported": 0}
               for sid in nodes}
     linkage: dict[str, set[str]] = {}
-    for idx, event in enumerate(obj["events"]):
-        for key in ("service", "record_id"):
-            if key not in event:
-                raise SchemaError(f"event {idx} missing {key!r}", path=where)
-        service_id = event["service"]
+    for idx, event in enumerate(events):
+        service_id = _field(event, "service", (str,), where, f"event {idx}")
+        record_id = _field(event, "record_id", (str,), where, f"event {idx}")
+        metadata = event.get("metadata", {})
+        if not isinstance(metadata, dict) or not all(
+                type(v) is str and "\n" not in v for v in metadata.values()):
+            raise SchemaError(f"event {idx}: metadata must map strings to "
+                              f"strings without newlines", path=where)
         if service_id not in nodes:
             raise SchemaError(f"event {idx} names unknown service {service_id!r}",
                               path=where)
-        record = corpora[service_id].get(event["record_id"])
+        record = corpora[service_id].get(record_id)
         if record is None:
             raise SchemaError(
-                f"event {idx}: record {event['record_id']!r} not in corpus of "
+                f"event {idx}: record {record_id!r} not in corpus of "
                 f"{service_id}", path=where)
+        fingerprint_id = f"{record.id}#e{idx}"
+        if fingerprint_id in corpora[service_id]:
+            raise SchemaError(f"event {idx}: {fingerprint_id!r} is a record id too",
+                              path=where)
         node = nodes[service_id]
         composite = ingest_detection(
-            node, record.text, dict(event.get("metadata", {})), config,
-            fingerprint_id=f"{record.id}#e{idx}", issued_at=idx)
+            node, record.text, metadata, config,
+            fingerprint_id=fingerprint_id, issued_at=idx)
         totals[service_id]["events_detected"] += 1
         peers = [n for sid, n in sorted(nodes.items()) if sid != service_id]
         replies = broadcast(composite, peers) if peers else []

@@ -22,7 +22,8 @@ from .errors import SchemaError
 
 
 class EntityType(Enum):
-    """Detected entity kinds, in priority order (earlier wins ties)."""
+    """Detected entity kinds; the default rules give each its value as
+    priority."""
 
     PERSON = 0
     EMAIL = 1
@@ -190,20 +191,21 @@ class Redactor:
         """All entity spans after overlap resolution.
 
         Candidates are resolved deterministically: longer span wins, then
-        higher-priority (lower number) entity type, then earlier start.
-        Returned spans are non-overlapping and sorted by start offset.
+        the matching rule's lower PRIORITY, then the entity type's lower
+        value, then earlier start. Returned spans are non-overlapping and
+        sorted by start offset.
         """
-        candidates: set[tuple[int, int, EntityType]] = set()
+        candidates: set[tuple[int, int, int, EntityType]] = set()
         for rule in self._rules:
             for m in rule.pattern.finditer(text):
                 if m.start() == m.end():
                     continue
                 if rule.validator(m.group()):
-                    candidates.add((m.start(), m.end(), rule.entity))
+                    candidates.add((m.start(), m.end(), rule.priority, rule.entity))
         ordered = sorted(candidates,
-                         key=lambda c: (-(c[1] - c[0]), c[2].value, c[0]))
+                         key=lambda c: (-(c[1] - c[0]), c[2], c[3].value, c[0]))
         accepted: list[tuple[int, int, EntityType]] = []
-        for start, end, entity in ordered:
+        for start, end, _priority, entity in ordered:
             if all(end <= s or start >= e for s, e, _ in accepted):
                 accepted.append((start, end, entity))
         accepted.sort()

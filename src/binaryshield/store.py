@@ -185,8 +185,12 @@ class FingerprintStore:
         """Check one entry, write its bits into the word matrix and return
         its insertion sequence number. A rejected entry leaves the store
         as it was."""
-        if not fp.id:
-            raise ValueError("fingerprint id must be non-empty")
+        if not isinstance(fp.id, str) or not fp.id:
+            raise ValueError(f"fingerprint id must be a non-empty string, got {fp.id!r}")
+        if not isinstance(fp.metadata, dict) or not all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in fp.metadata.items()):
+            raise ValueError(f"entry {fp.id}: metadata must map strings to strings")
         if fp.dim < 1:
             raise ValueError(f"entry {fp.id}: dim must be >= 1, got {fp.dim}")
         if len(fp.bits) != packed_length(fp.dim):

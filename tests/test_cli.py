@@ -2,10 +2,11 @@ import json
 import os
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from binaryshield.cli import main
+from binaryshield.cli import Knob, main
 from binaryshield.protocol import decode_frame
 
 SENTINEL = "qvxjwsentineltoken99"
@@ -295,6 +296,124 @@ class TestConfigLayering:
                                           "storage", "--count", "10",
                                           "--dim", "256"], env=env))
         assert result.output.splitlines()[-1].split(",")[1] == "256"
+
+
+KNOB_NAMES = {"dim", "alpha", "seed", "provider", "endpoint_url", "api_key_env",
+              "cache_path"}
+
+
+def _options(cmd, path=()):
+    """(command path, option) for every option in the command tree."""
+    for param in cmd.params:
+        if isinstance(param, click.Option):
+            yield path, param
+    for name, sub in getattr(cmd, "commands", {}).items():
+        yield from _options(sub, path + (name,))
+
+
+class TestKnobs:
+    """Every shared knob reads its flag, then BINARYSHIELD_<NAME>, then the
+    --config object, then its default; a bad value from any source is a
+    usage error."""
+
+    def test_every_knob_reads_env_and_config(self):
+        knobs = 0
+        for path, opt in _options(main):
+            if path == ("search",) and opt.name == "tau":
+                # The one exception: it picks the search mode against --topk,
+                # so an exported BINARYSHIELD_TAU would break every --topk.
+                assert not isinstance(opt, Knob) and opt.envvar is None
+                assert opt.get_default(click.Context(main, obj={"tau": 5})) is None
+            elif opt.name in KNOB_NAMES or opt.name == "tau":
+                assert isinstance(opt, Knob), (path, opt.name)
+                assert opt.envvar == f"BINARYSHIELD_{opt.name.upper()}", (path, opt.name)
+                ctx = click.Context(main, obj={opt.name: "from-config"})
+                assert opt.get_default(ctx) == "from-config", (path, opt.name)
+                knobs += 1
+        assert knobs >= 20
+
+    def test_cli_reads_only_the_knob_env_vars(self):
+        envvars = {opt.envvar for _, opt in _options(main) if opt.envvar}
+        assert envvars == {f"BINARYSHIELD_{n.upper()}" for n in KNOB_NAMES | {"tau"}}
+
+    def test_env_and_config_tau_reach_gen_scenario(self, runner, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"tau": 111}))
+        _ok(runner.invoke(main, ["--config", str(config), "gen", "scenario",
+                                 "--out-dir", str(tmp_path / "c")]))
+        _ok(runner.invoke(main, ["gen", "scenario", "--out-dir", str(tmp_path / "e")],
+                          env={"BINARYSHIELD_TAU": "222"}))
+        for name, tau in (("c", 111), ("e", 222)):
+            scenario = json.loads((tmp_path / name / "scenario.json").read_text())
+            assert {s["tau"] for s in scenario["services"]} == {tau}
+
+    def test_env_and_config_alpha_reach_pr_sweep(self, runner, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        _ok(runner.invoke(main, ["gen", "pairs", "--attack", "10", "--benign",
+                                 "10", "--seed", "3", "--out", str(pairs)]))
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"alpha": 0.5}))
+        sweep = ["eval", "pr-sweep", "--pairs", str(pairs), "--seed", "1"]
+
+        def csv(args, env=None):
+            return _ok(runner.invoke(main, args, env=env)).stdout
+
+        default = csv(sweep)
+        flag = csv(sweep + ["--alpha", "0.5"])
+        assert flag != default
+        assert csv(sweep, env={"BINARYSHIELD_ALPHA": "0.5"}) == flag
+        assert csv(["--config", str(config)] + sweep) == flag
+        assert csv(sweep, env={"BINARYSHIELD_ALPHA": "none"}) == \
+            csv(sweep + ["--alpha", "none"])
+
+    @pytest.mark.parametrize("content", [
+        "{not json", "[1, 2]", '"dim"', '{"dim": [1]}', '{"dim": {"a": 1}}',
+        '{"dim": null}', '{"dim": true}', b"\xff\xfe"])
+    def test_bad_config_is_usage_error(self, runner, tmp_path, content):
+        config = tmp_path / "conf.json"
+        if isinstance(content, bytes):
+            config.write_bytes(content)
+        else:
+            config.write_text(content)
+        result = runner.invoke(main, ["--config", str(config), "eval", "storage",
+                                      "--count", "10"])
+        assert result.exit_code == 2, result.output
+        assert "--config" in result.output
+
+    @pytest.mark.parametrize("name, value, command", [
+        ("dim", "abc", ["eval", "storage", "--count", "10"]),
+        ("seed", "1.5", ["eval", "storage", "--count", "10"]),
+        ("alpha", "-1", ["gen", "scenario", "--out-dir", "d"]),
+        ("alpha", "zero", ["eval", "pr-sweep", "--pairs", "p.jsonl"]),
+        ("provider", "remote_http", ["eval", "pr-sweep", "--pairs", "p.jsonl"]),
+        ("tau", "wide", ["gen", "scenario", "--out-dir", "d"]),
+    ])
+    def test_bad_value_from_any_source_exits_2(self, runner, tmp_path, name,
+                                               value, command):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({name: value}))
+        flag = "--" + name.replace("_", "-")
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("p.jsonl").write_text("")
+            for args, env in (([*command, flag, value], None),
+                              (command, {f"BINARYSHIELD_{name.upper()}": value}),
+                              (["--config", str(config), *command], None)):
+                result = runner.invoke(main, args, env=env)
+                assert result.exit_code == 2, (args, env, result.output)
+                assert flag in result.output
+
+    def test_search_topk_ignores_exported_tau(self, runner, prompts_file, tmp_path):
+        frames, snap = tmp_path / "frames.jsonl", tmp_path / "snap.bsfp"
+        _ok(runner.invoke(main, ["fingerprint", "--input", str(prompts_file),
+                                 "--out", str(frames)]))
+        _ok(runner.invoke(main, ["store", "build", "--input", str(frames),
+                                 "--out", str(snap)]))
+        query = tmp_path / "q.json"
+        query.write_text(frames.read_text().splitlines()[0] + "\n")
+        result = _ok(runner.invoke(main, ["search", "--store", str(snap),
+                                          "--query", str(query), "--topk", "1"],
+                                   env={"BINARYSHIELD_TAU": "5"}))
+        assert json.loads(result.output)["id"] == "p1"
 
 
 class TestBenchCli:

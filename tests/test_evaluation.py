@@ -335,6 +335,34 @@ class TestLoaders:
         with pytest.raises(SchemaError, match="attack_group"):
             load_corpus(path)
 
+    PAIR = {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 0,
+            "variant_type": "BENIGN_PAIR"}
+    CORPUS = {"id": "a", "text": "x", "is_attack": True, "attack_group": "g"}
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", [1]), ("label", "1"), ("label", True), ("label", 1.0),
+        ("id", ["a"]), ("id", 5), ("prompt_a", None), ("prompt_b", {"t": "y"}),
+        ("variant_type", 3)])
+    def test_wrong_typed_pair_field(self, tmp_path, field, value):
+        path = self._write(tmp_path / "p.jsonl",
+                           [self.PAIR, {**self.PAIR, "id": "b", field: value}])
+        with pytest.raises(SchemaError, match=f"p.jsonl:2: field {field!r}"):
+            load_pairs(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("attack_group", ["g"]), ("attack_group", 7), ("id", ["a"]),
+        ("text", 5), ("is_attack", 1), ("is_attack", "true")])
+    def test_wrong_typed_corpus_field(self, tmp_path, field, value):
+        path = self._write(tmp_path / "c.jsonl",
+                           [self.CORPUS, {**self.CORPUS, "id": "b", field: value}])
+        with pytest.raises(SchemaError, match=f"c.jsonl:2: field {field!r}"):
+            load_corpus(path)
+
+    def test_null_attack_group_means_none(self, tmp_path):
+        path = self._write(tmp_path / "c.jsonl", [
+            {"id": "a", "text": "x", "is_attack": False, "attack_group": None}])
+        assert load_corpus(path).records[0].attack_group is None
+
     def test_corpus_duplicate_text_dropped(self, tmp_path):
         path = self._write(tmp_path / "c.jsonl", [
             {"id": "a", "text": "same words", "is_attack": False},

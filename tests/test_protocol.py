@@ -12,10 +12,13 @@ from binaryshield.errors import FrameDecodeError, SchemaError
 from binaryshield.fingerprint import (hamming, keep_probability, pack_bits,
                                       quantize, randomize, random_fingerprint,
                                       unpack_bits)
-from binaryshield.protocol import (CompositeFingerprint, CorrelationReply,
-                                   PipelineConfig, ServiceNode, broadcast, compose,
-                                   decode_frame, encode_frame, ingest_detection,
-                                   simulate_campaign, write_demo_scenario)
+from binaryshield.evaluation import write_corpus_jsonl
+from binaryshield.protocol import (CampaignReport, CompositeFingerprint,
+                                   CorrelationReply, PipelineConfig, ServiceNode,
+                                   broadcast, compose, decode_frame, encode_frame,
+                                   ingest_detection, simulate_campaign,
+                                   write_demo_scenario)
+from binaryshield.records import CorpusRecord
 from binaryshield.redaction import Redactor
 from binaryshield.store import FingerprintStore, StoredFingerprint
 from binaryshield.textproc import derive_seed
@@ -437,3 +440,121 @@ class TestSimulateCampaign:
         frame = encode_frame(ingest_detection(
             node, f"prompt with {sentinel_a.lower()} inside", {}, config))
         assert sentinel_a.lower().encode() not in frame
+
+
+def _small_scenario():
+    return {"dim": 32, "alpha": 2.0, "seed": 1,
+            "services": [{"service_id": "A", "corpus": "a.jsonl", "tau": 8},
+                         {"service_id": "B", "corpus": "b.jsonl", "tau": 8}],
+            "events": [{"service": "A", "record_id": "a0",
+                        "metadata": {"tool": "email"}}]}
+
+
+# Every value a scenario holds, as (path to its container, key).
+SCENARIO_FIELDS = [((), "dim"), ((), "alpha"), ((), "seed"), ((), "services"),
+                   ((), "events"), (("services", 0), "service_id"),
+                   (("services", 0), "corpus"), (("services", 0), "tau"),
+                   (("events", 0), "service"), (("events", 0), "record_id"),
+                   (("events", 0), "metadata")]
+_ABSENT = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def _with_value(field, value):
+    scenario = _small_scenario()
+    (path, key) = field
+    container = scenario
+    for step in path:
+        container = container[step]
+    if value is _ABSENT:
+        del container[key]
+    else:
+        container[key] = value
+    return scenario
+
+
+class TestScenarioSchema:
+    """Scenario JSON is untrusted input: it yields a report or a
+    SchemaError naming the file, never a bare TypeError or ValueError."""
+
+    @pytest.fixture(scope="class")
+    def scenario_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("scenario")
+        for svc in ("a", "b"):
+            write_corpus_jsonl([CorpusRecord(id=f"{svc}{i}",
+                                             text=f"prompt {i} from service {svc}",
+                                             is_attack=False) for i in range(3)],
+                               root / f"{svc}.jsonl")
+        return root
+
+    @pytest.fixture(scope="class")
+    def redactor(self):
+        return Redactor.default()
+
+    def test_small_scenario_runs(self, scenario_dir, redactor):
+        path = scenario_dir / "ok.json"
+        path.write_text(json.dumps(_small_scenario()))
+        report = simulate_campaign(path, redactor=redactor)
+        assert [r.service_id for r in report.events[0].replies] == ["B"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        (((), "dim"), [64], "dim"),
+        (((), "dim"), 0, "dim"),
+        (((), "dim"), 2**17, "dim"),
+        (((), "alpha"), -1, "alpha"),
+        (((), "alpha"), 10**400, "alpha"),
+        (((), "alpha"), True, "alpha"),
+        (((), "seed"), "7", "seed"),
+        (((), "services"), {"A": 1}, "services"),
+        ((("services", 0), "corpus"), 5, "corpus"),
+        ((("services", 0), "corpus"), "a\x00.jsonl", "corpus"),
+        ((("services", 0), "service_id"), ["S1"], "service_id"),
+        ((("services", 0), "tau"), 33, "tau"),
+        ((("events", 0), "metadata"), [1], "metadata"),
+        ((("events", 0), "metadata"), {"tool": "a\nb"}, "metadata"),
+        ((("events", 0), "record_id"), ["a0"], "record_id"),
+    ])
+    def test_named_bad_values_raise_schema_error(self, scenario_dir, redactor,
+                                                 field, value, message):
+        path = scenario_dir / "bad.json"
+        path.write_text(json.dumps(_with_value(field, value)))
+        with pytest.raises(SchemaError, match=f"bad.json: .*{message}"):
+            simulate_campaign(path, redactor=redactor)
+
+    def test_scenario_not_an_object(self, scenario_dir):
+        path = scenario_dir / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError, match="list.json: scenario needs key 'dim'"):
+            simulate_campaign(path)
+
+    def test_event_id_clashing_with_a_record_id(self, scenario_dir, redactor):
+        write_corpus_jsonl([CorpusRecord(id=i, text=f"text {i}", is_attack=False)
+                            for i in ("c0", "c0#e0")], scenario_dir / "c.jsonl")
+        scenario = {"dim": 32, "alpha": 2.0, "seed": 1,
+                    "services": [{"service_id": "C", "corpus": "c.jsonl", "tau": 8}],
+                    "events": [{"service": "C", "record_id": "c0"}]}
+        path = scenario_dir / "clash.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(SchemaError, match="clash.json: event 0: 'c0#e0'"):
+            simulate_campaign(path, redactor=redactor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(SCENARIO_FIELDS),
+           value=st.just(_ABSENT) | JSON_VALUES)
+    def test_any_json_value_in_any_field(self, scenario_dir, redactor, field, value):
+        path = scenario_dir / "any.json"
+        path.write_text(json.dumps(_with_value(field, value)))
+        try:
+            report = simulate_campaign(path, redactor=redactor)
+        except SchemaError as exc:
+            assert str(exc).startswith(str(path))
+        except OSError:
+            assert field[1] == "corpus"     # a corpus file that is not there
+        else:
+            assert isinstance(report, CampaignReport)
+            json.loads(report.to_json())

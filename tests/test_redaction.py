@@ -120,6 +120,18 @@ class TestDetect:
         spans = redactor.detect("reach me on 5550101234 today")
         assert [s.entity_type for s in spans] == [EntityType.PHONE]
 
+    def test_rule_priority_beats_entity_order(self):
+        # the same 10-digit span from two rules: the rule file's PRIORITY
+        # decides, not the EntityType declaration order
+        version, rules = parse_rules("version 1\n"
+                                     "PHONE\t9\tnone\t\\b\\d{10}\\b\n"
+                                     "ACCOUNT\t0\tnone\t\\b\\d{10}\\b\n")
+        spans = Redactor(rules, version).detect("reach me on 5550101234 today")
+        assert [s.entity_type for s in spans] == [EntityType.ACCOUNT]
+
+    def test_default_priorities_follow_entity_order(self, redactor):
+        assert all(rule.priority == rule.entity.value for rule in redactor.rules)
+
     def test_luhn_gate_on_card_numbers(self, redactor):
         valid = luhn_fix("453212345678901")
         spans = redactor.detect(f"card {valid} on file")

@@ -108,6 +108,15 @@ REJECTED = {
               "dim must be >= 1"),
     "dim -5": (lambda: StoredFingerprint(id="x", bits=b"", dim=-5), ValueError,
                "dim must be >= 1"),
+    "non-string id": (lambda: _entry75(5, 94), ValueError, "string"),
+    "list metadata value": (lambda: _entry75("x", 95, metadata={"k": ["x"]}),
+                            ValueError, "metadata"),
+    "int metadata value": (lambda: _entry75("x", 96, metadata={"k": 5}),
+                           ValueError, "metadata"),
+    "int metadata key": (lambda: _entry75("x", 97, metadata={5: "v"}),
+                         ValueError, "metadata"),
+    "list metadata": (lambda: _entry75("x", 98, metadata=[("k", "v")]),
+                      ValueError, "metadata"),
 }
 
 
