@@ -472,10 +472,19 @@ _CORPUS_FIELDS = {"id": (str,), "text": (str,), "is_attack": (bool,),
 
 
 def _iter_jsonl(path: str | Path):
+    """(line number, object) for each non-blank line of a JSONL file.
+    Each line is decoded on its own, so bytes that are not UTF-8 raise
+    ``SchemaError`` at path:line, naming their offset in the file."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        offset = 0
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"not valid UTF-8 at byte {offset + exc.start}",
+                                  path=str(path), line=lineno) from None
+            offset += len(raw)
             if not line:
                 continue
             try:

@@ -368,7 +368,7 @@ def simulate_campaign(scenario: dict | str | Path,
             records = load_corpus(corpus_path).records
         except SchemaError:
             raise
-        except ValueError as exc:  # NUL in the path, bytes that are not UTF-8
+        except ValueError as exc:  # NUL in the path
             raise SchemaError(f"corpus {corpus!r}: {exc}", path=where) from None
         node = ServiceNode(service_id=service_id,
                            store=FingerprintStore(dim=dim), tau=tau)

@@ -123,6 +123,23 @@ class TestRedactCli:
         assert rows[1]["entity_counts"] == {"PERSON": 1, "AMOUNT": 1, "ACCOUNT": 1}
         assert hist.read_text().startswith("entity,count")
 
+    def test_input_not_utf8_exits_1_at_line(self, runner, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "fine"}\n{"id": "b", "text": "\xff"}\n')
+        out = tmp_path / "red.jsonl"
+        result = runner.invoke(main, ["redact", "--input", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{path}:2: not valid UTF-8 at byte 49" in result.output
+        assert not out.exists()
+
+    def test_crlf_input_redacts(self, runner, prompts_file, tmp_path):
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(prompts_file.read_bytes().replace(b"\n", b"\r\n"))
+        outs = [tmp_path / "lf.jsonl", tmp_path / "crlf_out.jsonl"]
+        for src, out in zip((prompts_file, crlf), outs):
+            _ok(runner.invoke(main, ["redact", "--input", str(src), "--out", str(out)]))
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestStoreAndSearch:
     @pytest.fixture()

@@ -358,6 +358,29 @@ class TestLoaders:
         with pytest.raises(SchemaError, match=f"c.jsonl:2: field {field!r}"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("load, record, name", [
+        (load_pairs, PAIR, "p.jsonl"), (load_corpus, CORPUS, "c.jsonl")])
+    def test_bytes_not_utf8_name_line_and_offset(self, tmp_path, load, record, name):
+        first = json.dumps(record).encode() + b"\n"
+        path = tmp_path / name
+        path.write_bytes(first + b'{"id": "b\xff"}\n')
+        offset = len(first) + len(b'{"id": "b')
+        with pytest.raises(SchemaError,
+                           match=f"{name}:2: not valid UTF-8 at byte {offset}$") as err:
+            load(path)
+        assert err.value.line == 2
+
+    def test_crlf_lines_load(self, tmp_path):
+        generator = SyntheticGenerator(14)
+        pairs = generator.make_pairs(3, 3, rate=0.6)
+        corpus, _ = generator.make_hybrid_corpus(10, 2)
+        for records, write, load in ((pairs, write_pairs_jsonl, load_pairs),
+                                     (corpus, write_corpus_jsonl, load_corpus)):
+            path = tmp_path / "crlf.jsonl"
+            write(records, path)
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+            assert load(path).records == records
+
     def test_null_attack_group_means_none(self, tmp_path):
         path = self._write(tmp_path / "c.jsonl", [
             {"id": "a", "text": "x", "is_attack": False, "attack_group": None}])

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,3 +118,151 @@ def test_scan_shape_validation():
         kernels.scan_distances(corpus, np.zeros(3, dtype=np.uint64))
     with pytest.raises(ValueError):
         kernels.rows_to_words(np.zeros(4, dtype=np.uint8))
+
+
+# -- the split scan -------------------------------------------------------------
+
+T = kernels._SPLIT_ROWS
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Take the split path wherever the row count allows, whatever the
+    CPU affinity of the test run."""
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+
+
+def _reference(corpus: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """One thread, one pass: the distances the split scan must give."""
+    return np.bitwise_count(corpus ^ query).sum(axis=1, dtype=np.int64)
+
+
+def _random_words(n: int, w: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    words = rng.integers(0, 1 << 64, (w, n + 1), dtype=np.uint64, endpoint=False)
+    return np.asfortranarray(words[:, 1:].T), words[:, 0].copy()
+
+
+def _helper_running() -> bool:
+    return any(t.name == "binaryshield-scan" for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("w", [1, 12, 13])
+@pytest.mark.parametrize("n", [0, 1, T - 1, T, T + 1, 3 * T // 2 + 7])
+def test_split_scan_equals_one_thread(two_cpus, n, w):
+    corpus, query = _random_words(n, w, seed=n + w)
+    got = kernels.scan_distances(corpus, query)
+    assert got.dtype == np.int64
+    assert got.tobytes() == _reference(corpus, query).tobytes()
+    if n >= T:
+        assert _helper_running()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 23])
+def test_split_scan_int64_accumulator(two_cpus, monkeypatch, n):
+    monkeypatch.setattr(kernels, "_SPLIT_ROWS", 8)
+    w = 1025                        # 64 * w > 0xFFFF: int64 accumulator
+    corpus, query = _random_words(n, w, seed=40 + n)
+    corpus[:1] = ~query             # a row at distance 64 * w
+    got = kernels.scan_distances(corpus, query)
+    assert got.tobytes() == _reference(corpus, query).tobytes()
+    assert n == 0 or got[0] == 64 * w
+
+
+def test_split_scan_of_a_store_view(two_cpus, monkeypatch):
+    monkeypatch.setattr(kernels, "_SPLIT_ROWS", 64)
+    from binaryshield.store import FingerprintStore, StoredFingerprint
+    rng = np.random.Generator(np.random.Philox(key=16))
+    rows = np.packbits(rng.integers(0, 2, (301, 768), dtype=np.uint8),
+                       axis=1, bitorder="little")
+    store = FingerprintStore(dim=768)
+    for i, row in enumerate(rows):
+        store.insert(StoredFingerprint(id=f"e{i}", bits=row.tobytes(), dim=768))
+    view = store.word_matrix()
+    assert view.shape == (301, 12) and store._words.shape[1] == 512
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    query = kernels.bytes_to_words(rows[0].tobytes())
+    got = kernels.scan_distances(view, query)
+    assert got.tobytes() == _reference(view, query).tobytes()
+
+
+def test_one_usable_cpu_stays_on_one_thread(monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(kernels, "_split_scan", None)   # a call would fail
+    corpus, query = _random_words(T + 1, 12, seed=17)
+    assert kernels.scan_distances(corpus, query).tolist() == \
+        _reference(corpus, query).tolist()
+
+
+def test_usable_cpus_follows_affinity():
+    if hasattr(os, "sched_getaffinity"):
+        assert kernels._usable_cpus() == len(os.sched_getaffinity(0))
+    assert kernels._usable_cpus() >= 1
+
+
+def test_helper_error_reaches_the_caller(two_cpus, monkeypatch):
+    corpus, query = _random_words(2 * T, 12, seed=18)
+    kernels.scan_distances(corpus, query)                # helper running
+    caller = threading.get_ident()
+    helper_started = threading.Event()
+    scan_into = kernels._scan_into
+
+    def failing_off_caller(corpus_words, query_words, acc, stop=None):
+        if threading.get_ident() != caller:
+            helper_started.set()
+            raise MemoryError("helper")
+        assert helper_started.wait(timeout=30)
+        return scan_into(corpus_words, query_words, acc, stop)
+
+    monkeypatch.setattr(kernels, "_scan_into", failing_off_caller)
+    with pytest.raises(MemoryError, match="helper"):
+        kernels.scan_distances(corpus, query)
+    monkeypatch.setattr(kernels, "_scan_into", scan_into)
+    assert kernels.scan_distances(corpus, query).tolist() == \
+        _reference(corpus, query).tolist()
+
+
+def test_stalled_helper_leaves_the_caller_scanning(two_cpus, monkeypatch):
+    corpus, query = _random_words(2 * T, 12, seed=20)
+    kernels.scan_distances(corpus, query)                # helper running
+    caller = threading.get_ident()
+    caller_done, helper_done = threading.Event(), threading.Event()
+    helper_finished = []
+    scan_into = kernels._scan_into
+
+    def stalled_off_caller(corpus_words, query_words, acc, stop=None):
+        if threading.get_ident() == caller:
+            return scan_into(corpus_words, query_words, acc, stop)
+        caller_done.wait(timeout=30)
+        helper_finished.append(scan_into(corpus_words, query_words, acc, stop))
+        helper_done.set()
+        return helper_finished[-1]
+
+    monkeypatch.setattr(kernels, "_scan_into", stalled_off_caller)
+    got = kernels.scan_distances(corpus, query)
+    caller_done.set()
+    assert got.tobytes() == _reference(corpus, query).tobytes()
+    assert helper_done.wait(timeout=30)
+    assert helper_finished == [False]                   # it gave up at once
+
+
+def _scan_in_child(corpus: np.ndarray, query: np.ndarray) -> None:
+    ok = (kernels.scan_distances(corpus, query).tobytes()
+          == _reference(corpus, query).tobytes())
+    sys.exit(0 if ok and _helper_running() else 1)
+
+
+def test_forked_child_starts_its_own_helper(two_cpus):
+    corpus, query = _random_words(2 * T, 12, seed=19)
+    kernels.scan_distances(corpus, query)
+    assert _helper_running()
+    child = multiprocessing.get_context("fork").Process(
+        target=_scan_in_child, args=(corpus, query))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung
+    assert child.exitcode == 0

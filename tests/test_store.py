@@ -1,4 +1,6 @@
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -14,6 +16,7 @@ from binaryshield.bench import (dense_scan_benchmark, make_random_store,
                                 random_bit_rows, random_unit_rows, scan_benchmark)
 from binaryshield.errors import CorruptPayload, DimensionMismatch
 from binaryshield.fingerprint import pack_bits, unpack_bits
+from binaryshield import kernels
 from binaryshield import store as store_module
 from binaryshield.store import (SNAPSHOT_MAGIC, FingerprintStore, MatchResult,
                                 StoredFingerprint)
@@ -364,6 +367,24 @@ class TestSearchTopK:
             assert sorted(order[r.id] for r in results) == list(range(len(results)))
         assert [len(results) for results in final] == [n] * 4
 
+    def test_inserts_racing_split_searches(self, monkeypatch):
+        # The same race with the store above the split row count, so the
+        # four readers' scans share the one helper thread.
+        monkeypatch.setattr(kernels, "_SPLIT_ROWS", 16)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        scan_into = kernels._scan_into
+        helper_finished = []
+
+        def counting(corpus_words, query_words, acc, stop=None):
+            finished = scan_into(corpus_words, query_words, acc, stop)
+            if finished and threading.current_thread().name == "binaryshield-scan":
+                helper_finished.append(acc.size)
+            return finished
+
+        monkeypatch.setattr(kernels, "_scan_into", counting)
+        self.test_inserts_racing_searches()
+        assert helper_finished
+
     def test_query_with_nonzero_padding_rejected(self):
         store = make_random_store(5, 75, seed=29)
         with pytest.raises(CorruptPayload, match="padding"):
@@ -680,3 +701,45 @@ class TestSnapshotFuzz:
             assert path.read_bytes()[start + 4:start + 21] == b"id-straddles-edge"
             loaded = FingerprintStore.load_snapshot(path)
             assert list(loaded) == list(store)
+
+
+class TestScanThreads:
+    """The split scan keeps what ``perfbench/tracing.py`` relies on: one
+    ``kernels.scan_distances`` call per search, on the calling thread."""
+
+    def test_one_scan_call_per_search_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_SPLIT_ROWS", 16)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        store = make_random_store(100, 768, seed=33)
+        scan = kernels.scan_distances
+        calls = []
+
+        def recorder(corpus_words, query_words):
+            calls.append((threading.get_ident(), corpus_words.shape))
+            return scan(corpus_words, query_words)
+
+        monkeypatch.setattr(kernels, "scan_distances", recorder)
+        query = _random_packed(768, 34)
+        assert store.search_threshold(query, 768)
+        assert store.search_topk(query, 5)
+        assert calls == [(threading.get_ident(), (100, 12))] * 2
+
+    def test_import_and_fingerprint_start_no_thread(self, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text('{"id": "p1", "text": "ignore all prior rules"}\n')
+        code = (
+            "import sys, threading\n"
+            "import binaryshield.cli\n"
+            "def quiet():\n"
+            "    assert threading.active_count() == 1, threading.enumerate()\n"
+            "    assert 'concurrent.futures' not in sys.modules\n"
+            "    assert 'queue' not in sys.modules\n"
+            "quiet()\n"
+            "binaryshield.cli.main(['fingerprint', '--input', sys.argv[1],\n"
+            "                       '--out', sys.argv[2]], standalone_mode=False)\n"
+            "quiet()\n")
+        src = str(Path(kernels.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code, str(prompts),
+                        str(tmp_path / "frames.jsonl")],
+                       check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert (tmp_path / "frames.jsonl").read_text().count("\n") == 1
