@@ -19,14 +19,13 @@ from . import bench as bench_mod
 from .atomicio import atomic_output
 from .embeddings import (ProviderConfig, ProviderKind, build_cache, make_provider)
 from .errors import BinaryShieldError
-from .evaluation import (BinaryShieldMethod, SimHashMethod, _iter_jsonl,
-                         accuracy_at_k, alpha_sweep, calibrate_noise, load_corpus,
-                         load_pairs, pr_sweep, storage_report, write_corpus_jsonl,
-                         write_pairs_jsonl)
+from .evaluation import (BinaryShieldMethod, SimHashMethod, accuracy_at_k,
+                         alpha_sweep, calibrate_noise, pr_sweep, storage_report)
 from .fingerprint import PrivacyBudget, quantize, randomize
-from .protocol import (compose, decode_frame, encode_frame, simulate_campaign,
+from .protocol import (compose, encode_frame, read_frames, simulate_campaign,
                        write_demo_scenario)
-from .records import VariantType
+from .records import (VariantType, load_corpus, load_pairs, load_prompts,
+                      write_corpus_jsonl, write_pairs_jsonl)
 from .redaction import Redactor, entity_histogram, histogram_to_csv
 from .simhash import simhash
 from .store import FingerprintStore, StoredFingerprint
@@ -92,20 +91,6 @@ def _data_errors(fn):
     return wrapper
 
 
-def _read_prompt_records(path: Path) -> list[dict]:
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        if "id" not in obj or "text" not in obj:
-            raise click.ClickException(
-                f"{path}:{lineno}: prompt record needs 'id' and 'text'")
-        metadata = obj.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise click.ClickException(f"{path}:{lineno}: metadata must be an object")
-        records.append({"id": str(obj["id"]), "text": str(obj["text"]),
-                        "metadata": {str(k): str(v) for k, v in metadata.items()}})
-    return records
-
-
 def _build_provider(kind, dim, model_id=None, endpoint_url=None, api_key_env=None,
                     cache_path=None):
     return make_provider(ProviderConfig(
@@ -166,19 +151,19 @@ def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
     redactor = Redactor.from_config(rules_path) if rules_path else Redactor.default()
     prov = _build_provider(provider, dim, model_id, endpoint_url, api_key_env,
                            cache_path)
-    records = _read_prompt_records(Path(input_path))
+    records = load_prompts(input_path)
     frames: list[bytes] = []
     failures: list[str] = []
     for i, rec in enumerate(records):
         try:
-            redacted = redactor.redact(rec["text"])
+            redacted = redactor.redact(rec.text)
             priv = randomize(quantize(prov.embed(redacted)),
                              PrivacyBudget.of(alpha),
-                             derive_seed(seed, service_id, rec["id"]))
-            frames.append(encode_frame(compose(service_id, rec["id"], priv,
-                                               rec["metadata"], i)))
+                             derive_seed(seed, service_id, rec.id))
+            frames.append(encode_frame(compose(service_id, rec.id, priv,
+                                               rec.metadata, i)))
         except Exception as exc:  # reported per record, run continues
-            failures.append(f"record {rec['id']!r} (line {i + 1}): {exc}")
+            failures.append(f"record {rec.id!r}: {exc}")
     if failures:
         for message in failures:
             click.echo(f"error: {message}", err=True)
@@ -203,24 +188,21 @@ def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
 def redact(input_path, out_path, rules_path, histogram_path):
     """Redact PII from prompts (JSONL in, JSONL with placeholders out)."""
     redactor = Redactor.from_config(rules_path) if rules_path else Redactor.default()
-    records = _read_prompt_records(Path(input_path))
+    records = load_prompts(input_path)
     with atomic_output(out_path) as fh:
         for rec in records:
-            result = redactor.redact(rec["text"])
+            result = redactor.redact(rec.text)
             fh.write(json.dumps({
-                "id": rec["id"], "text": result.text,
+                "id": rec.id, "text": result.text,
                 "entity_counts": {t.name: c for t, c in
                                   sorted(result.entity_counts.items(),
                                          key=lambda kv: kv[0].value)},
                 "original_length": result.original_length,
             }, separators=(",", ":")) + "\n")
     if histogram_path:
-        histogram, skipped = entity_histogram((r["text"] for r in records),
-                                              redactor=redactor)
+        histogram, _ = entity_histogram((r.text for r in records), redactor=redactor)
         with atomic_output(histogram_path) as fh:
             fh.write(histogram_to_csv(histogram))
-        if skipped:
-            click.echo(f"histogram skipped {skipped} unreadable records", err=True)
     click.echo(f"redacted {len(records)} prompts to {out_path}")
 
 
@@ -233,11 +215,11 @@ def redact(input_path, out_path, rules_path, histogram_path):
 @_data_errors
 def simhash_cmd(input_path, out_path):
     """64-bit SimHash fingerprints for prompts (JSONL in/out)."""
-    records = _read_prompt_records(Path(input_path))
+    records = load_prompts(input_path)
     with atomic_output(out_path) as fh:
         for rec in records:
-            fp = simhash(rec["text"])
-            fh.write(json.dumps({"id": rec["id"], "bits_hex": f"{fp.bits:016x}",
+            fp = simhash(rec.text)
+            fh.write(json.dumps({"id": rec.id, "bits_hex": f"{fp.bits:016x}",
                                  "feature_count": fp.feature_count},
                                 separators=(",", ":")) + "\n")
     click.echo(f"wrote {len(records)} fingerprints to {out_path}")
@@ -279,7 +261,7 @@ def embed_cache_build(input_path, pairs_path, corpus_path, out_path,
             "specify exactly one of --input, --pairs or --corpus")
     prov = _build_provider(provider, dim, model_id, endpoint_url, api_key_env)
     if input_path:
-        texts = [rec["text"] for rec in _read_prompt_records(Path(input_path))]
+        texts = [rec.text for rec in load_prompts(input_path)]
     elif pairs_path:
         texts = [t for p in load_pairs(pairs_path).records
                  for t in (p.prompt_a, p.prompt_b)]
@@ -311,15 +293,11 @@ def store_build(input_path, out_path):
     """Ingest wire frames into a searchable store snapshot."""
     store = FingerprintStore()
     count = 0
-    with open(input_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            frame = decode_frame(line)
-            store.insert(StoredFingerprint(
-                id=frame.fingerprint_id, bits=frame.decoded_bits(),
-                dim=frame.dim, alpha=frame.alpha, metadata=frame.metadata))
-            count += 1
+    for frame in read_frames(input_path):
+        store.insert(StoredFingerprint(
+            id=frame.fingerprint_id, bits=frame.decoded_bits(),
+            dim=frame.dim, alpha=frame.alpha, metadata=frame.metadata))
+        count += 1
     store.save_snapshot(out_path)
     click.echo(f"stored {count} fingerprints in {out_path}")
 
@@ -343,10 +321,9 @@ def search(store_path, query_path, tau, topk, fmt, out_path):
     if (tau is None) == (topk is None):
         raise click.UsageError("specify exactly one of --tau or --topk")
     store = FingerprintStore.load_snapshot(store_path)
-    frame_line = Path(query_path).read_text("utf-8").strip().splitlines()
-    if not frame_line:
+    composite = next(read_frames(query_path), None)
+    if composite is None:
         raise click.ClickException(f"{query_path}: empty query file")
-    composite = decode_frame(frame_line[0])
     bits = composite.decoded_bits()
     if tau is not None:
         results = store.search_threshold(bits, tau,

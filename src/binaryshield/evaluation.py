@@ -1,6 +1,9 @@
 """Metrics, threshold calibration, privacy-utility sweeps, noise
 calibration, retrieval accuracy, and storage accounting.
 
+The experiments take records already loaded; reading and writing dataset
+JSONL lives in :mod:`binaryshield.records`.
+
 Every experiment is seed-deterministic end to end: identical inputs and
 seeds produce identical CSV bytes. All metrics are recomputable from the
 emitted confusion matrices.
@@ -13,16 +16,14 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import PseudoEmbedder
-from .errors import SchemaError
 from .fingerprint import (BinaryFingerprint, expected_self_distortion, hamming,
                           packed_length, quantize, randomize, random_fingerprint)
-from .records import CorpusRecord, PairRecord, VariantType
+from .records import CorpusRecord, PairRecord
 from .simhash import SIMHASH_BITS, simhash, simhash_distance
 from .store import FingerprintStore, StoredFingerprint
 from .synthetic import SyntheticGenerator
@@ -453,141 +454,6 @@ def storage_report(count: int, dim: int, float_bytes: int = 4,
                          dense_bytes=dense, binary_bytes=binary,
                          ratio=dense / binary,
                          measured_binary_bytes=measured_binary_bytes)
-
-
-# -- dataset ingestion ------------------------------------------------------------
-
-@dataclass
-class LoadResult:
-    records: list
-    dropped_empty: int = 0
-    dropped_duplicate: int = 0
-
-
-# Each field's allowed JSON types; a field that allows null may be absent.
-_PAIR_FIELDS = {"id": (str,), "prompt_a": (str,), "prompt_b": (str,),
-                "label": (int,), "variant_type": (str,)}
-_CORPUS_FIELDS = {"id": (str,), "text": (str,), "is_attack": (bool,),
-                  "attack_group": (str, type(None))}
-
-
-def _iter_jsonl(path: str | Path):
-    """(line number, object) for each non-blank line of a JSONL file.
-    Each line is decoded on its own, so bytes that are not UTF-8 raise
-    ``SchemaError`` at path:line, naming their offset in the file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        offset = 0
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"not valid UTF-8 at byte {offset + exc.start}",
-                                  path=str(path), line=lineno) from None
-            offset += len(raw)
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"malformed JSON: {exc.msg}",
-                                  path=str(path), line=lineno) from None
-            if not isinstance(obj, dict):
-                raise SchemaError("record is not a JSON object",
-                                  path=str(path), line=lineno)
-            yield lineno, obj
-
-
-def _load_records(path: str | Path, fields: dict, build, content) -> LoadResult:
-    """The one record loop under :func:`load_pairs` and :func:`load_corpus`:
-    fields are type-checked before ``build`` runs, so every violation is a
-    ``SchemaError`` at path:line. Records whose ``content`` strings hold an
-    empty one, or repeat an earlier record's, are dropped and counted."""
-    records = []
-    seen_ids: set[str] = set()
-    seen_content: set[tuple[str, ...]] = set()
-    dropped_empty = dropped_duplicate = 0
-    for lineno, obj in _iter_jsonl(path):
-        where = {"path": str(path), "line": lineno}
-        missing = [k for k, kinds in fields.items()
-                   if k not in obj and type(None) not in kinds]
-        if missing:
-            raise SchemaError(f"missing field {sorted(missing)[0]!r}", **where)
-        unknown = set(obj) - set(fields)
-        if unknown:
-            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", **where)
-        for key, value in obj.items():
-            if type(value) not in fields[key]:
-                raise SchemaError(f"field {key!r} has the wrong type "
-                                  f"{type(value).__name__}", **where)
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"duplicate id {obj['id']!r}", **where)
-        seen_ids.add(obj["id"])
-        try:
-            record = build(obj)
-        except ValueError as exc:
-            raise SchemaError(str(exc), **where) from None
-        key = content(record)
-        if not all(text.strip() for text in key):
-            dropped_empty += 1
-        elif key in seen_content:
-            dropped_duplicate += 1
-        else:
-            seen_content.add(key)
-            records.append(record)
-    return LoadResult(records=records, dropped_empty=dropped_empty,
-                      dropped_duplicate=dropped_duplicate)
-
-
-def load_pairs(path: str | Path) -> LoadResult:
-    """Read PairRecord JSONL with strict validation.
-
-    Duplicate ids are an error; records with empty prompts or duplicate
-    (prompt_a, prompt_b) content are dropped and counted, mirroring the
-    dataset filtering the experiments assume.
-    """
-    return _load_records(
-        path, _PAIR_FIELDS,
-        lambda o: PairRecord(id=o["id"], prompt_a=o["prompt_a"],
-                             prompt_b=o["prompt_b"], label=o["label"],
-                             variant_type=VariantType(o["variant_type"])),
-        lambda r: (r.prompt_a, r.prompt_b))
-
-
-def load_corpus(path: str | Path) -> LoadResult:
-    """Read CorpusRecord JSONL with strict validation; same drop rules as
-    load_pairs (empty texts and exact duplicate texts)."""
-    return _load_records(
-        path, _CORPUS_FIELDS,
-        lambda o: CorpusRecord(id=o["id"], text=o["text"], is_attack=o["is_attack"],
-                               attack_group=o.get("attack_group")),
-        lambda r: (r.text,))
-
-
-def _write_jsonl(objs: Iterable[dict], dest) -> None:
-    """One compact JSON object per line, to a path or an open text handle."""
-    fh = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8")
-    try:
-        for obj in objs:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    finally:
-        if fh is not dest:
-            fh.close()
-
-
-def write_pairs_jsonl(records: Iterable[PairRecord], dest) -> None:
-    """Write PairRecord JSONL to a path or an open text handle."""
-    _write_jsonl(({"id": r.id, "prompt_a": r.prompt_a, "prompt_b": r.prompt_b,
-                   "label": r.label, "variant_type": r.variant_type.value}
-                  for r in records), dest)
-
-
-def write_corpus_jsonl(records: Iterable[CorpusRecord], dest) -> None:
-    """Write CorpusRecord JSONL to a path or an open text handle; a record
-    with no attack group has no attack_group key."""
-    _write_jsonl(({"id": r.id, "text": r.text, "is_attack": r.is_attack}
-                  | ({} if r.attack_group is None else {"attack_group": r.attack_group})
-                  for r in records), dest)
 
 
 # -- small statistics helpers ------------------------------------------------------

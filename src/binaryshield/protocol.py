@@ -1,6 +1,6 @@
 """Cross-service correlation: composite fingerprints, the newline-delimited
-JSON wire frame, aggregate-count broadcast, and the scripted campaign
-simulator.
+JSON wire frame and frame files, aggregate-count broadcast, and the
+scripted campaign simulator.
 
 Boundary property: nothing serialized by this module (frames, replies,
 reports) ever contains raw or redacted prompt text — fingerprint bits and
@@ -17,14 +17,17 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .embeddings import PseudoEmbedder
 from .errors import CorruptPayload, FrameDecodeError, SchemaError
 from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
                           packed_length, quantize, randomize)
+from .records import (CorpusRecord, check_metadata, iter_lines, load_corpus,
+                      write_corpus_jsonl)
 from .redaction import Redactor
 from .store import FingerprintStore, StoredFingerprint
+from .synthetic import SyntheticGenerator
 from .textproc import derive_seed
 
 FRAME_VERSION = 1
@@ -58,11 +61,7 @@ class CompositeFingerprint:
                 f"decoded payload is {len(decoded)} bytes, expected "
                 f"{packed_length(self.dim)} for dim {self.dim}")
         check_padding(decoded, self.dim)
-        for key, value in self.metadata.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise ValueError("metadata must map strings to strings")
-            if "\n" in value:
-                raise ValueError(f"metadata value for {key!r} contains a newline")
+        check_metadata(self.metadata)
 
     def decoded_bits(self) -> bytes:
         return base64.b64decode(self.bits_base64, validate=True)
@@ -153,6 +152,16 @@ def decode_frame(data: bytes | str) -> CompositeFingerprint:
         raise FrameDecodeError("metadata", str(exc)) from None
 
 
+def read_frames(path: str | Path) -> Iterator[CompositeFingerprint]:
+    """Each frame of a frames file (one per non-blank line), in order. A
+    bad frame raises ``SchemaError`` at path:line with the field's message."""
+    for lineno, line in iter_lines(path):
+        try:
+            yield decode_frame(line)
+        except FrameDecodeError as exc:
+            raise SchemaError(str(exc), path=str(path), line=lineno) from None
+
+
 @dataclass(frozen=True)
 class CorrelationReply:
     """Aggregate-only answer from one peer: a count, never match contents."""
@@ -181,7 +190,10 @@ class ServiceNode:
     tau: int
 
     def __post_init__(self):
-        if self.store.dim is not None and not (0 <= self.tau <= self.store.dim):
+        if self.store.dim is None:
+            raise ValueError(f"store of {self.service_id} has no dim, so tau "
+                             f"{self.tau} cannot be checked")
+        if not 0 <= self.tau <= self.store.dim:
             raise ValueError(
                 f"tau {self.tau} outside [0, {self.store.dim}] for {self.service_id}")
 
@@ -333,8 +345,6 @@ def simulate_campaign(scenario: dict | str | Path,
     scenario: the logical clock is the event index and all noise seeds
     derive from (seed, service, record).
     """
-    from .evaluation import load_corpus
-
     obj, base_path = _load_scenario(scenario)
     where = str(base_path) if base_path else "<scenario>"
     dim = _field(obj, "dim", (int,), where, "scenario")
@@ -386,10 +396,10 @@ def simulate_campaign(scenario: dict | str | Path,
         service_id = _field(event, "service", (str,), where, f"event {idx}")
         record_id = _field(event, "record_id", (str,), where, f"event {idx}")
         metadata = event.get("metadata", {})
-        if not isinstance(metadata, dict) or not all(
-                type(v) is str and "\n" not in v for v in metadata.values()):
-            raise SchemaError(f"event {idx}: metadata must map strings to "
-                              f"strings without newlines", path=where)
+        try:
+            check_metadata(metadata)
+        except ValueError as exc:
+            raise SchemaError(f"event {idx}: {exc}", path=where) from None
         if service_id not in nodes:
             raise SchemaError(f"event {idx} names unknown service {service_id!r}",
                               path=where)
@@ -431,10 +441,6 @@ def write_demo_scenario(out_dir: str | Path, seed: int = 7, dim: int = 768,
     With the default parameters the broadcast yields replies of exactly
     2 matches from S1 and 1 from S3.
     """
-    from .evaluation import write_corpus_jsonl
-    from .records import CorpusRecord
-    from .synthetic import SyntheticGenerator
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gen = SyntheticGenerator(seed)

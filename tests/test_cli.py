@@ -110,6 +110,35 @@ class TestFingerprint:
         assert not list(tmp_path.glob("frames.jsonl.tmp*"))
         assert "failed" in result.output
 
+    def test_failed_record_is_named_by_its_id(self, runner, prompts_file, tmp_path):
+        first = tmp_path / "first.jsonl"
+        first.write_text(prompts_file.read_text().splitlines()[0] + "\n")
+        cache = tmp_path / "c.bsemb"
+        _ok(runner.invoke(main, ["embed-cache", "build", "--input", str(first),
+                                 "--out", str(cache)]))
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + prompts_file.read_text().replace("\n", "\n\n"))
+        out = tmp_path / "frames.jsonl"
+        result = runner.invoke(main, ["fingerprint", "--input", str(spaced),
+                                      "--out", str(out), "--provider", "file_cache",
+                                      "--cache-path", str(cache)])
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("error: ")]
+        assert [e.split(": ")[1] for e in errors] == ["record 'p2'", "record 'p3'"]
+        assert "no cached embedding" in errors[0]
+        assert not out.exists()
+
+    def test_duplicate_id_exits_1_at_its_line(self, runner, prompts_file, tmp_path):
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(prompts_file.read_text().replace('"p2"', '"p1"'))
+        out = tmp_path / "frames.jsonl"
+        result = runner.invoke(main, ["fingerprint", "--input", str(dup),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{dup}:2: duplicate id 'p1'" in result.output
+        assert not out.exists()
+
 
 class TestRedactCli:
     def test_redacts_and_reports_counts(self, runner, prompts_file, tmp_path):
@@ -130,6 +159,15 @@ class TestRedactCli:
         result = runner.invoke(main, ["redact", "--input", str(path), "--out", str(out)])
         assert result.exit_code == 1
         assert f"{path}:2: not valid UTF-8 at byte 49" in result.output
+        assert not out.exists()
+
+    def test_wrong_typed_record_exits_1_without_output(self, runner, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"id": ["a"], "text": 5, "metadata": {"k": [1]}}\n')
+        out = tmp_path / "red.jsonl"
+        result = runner.invoke(main, ["redact", "--input", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{path}:1: field 'id' has the wrong type list" in result.output
         assert not out.exists()
 
     def test_crlf_input_redacts(self, runner, prompts_file, tmp_path):
@@ -170,6 +208,30 @@ class TestStoreAndSearch:
                                           "--query", str(query), "--tau", "50",
                                           "--format", "table"]))
         assert result.output.splitlines()[0] == "id\tdistance\tmetadata_overlap"
+
+    def test_frames_not_utf8_name_path_and_line(self, runner, snapshot, tmp_path):
+        frames, snap = snapshot
+        bad = tmp_path / "bad.jsonl"
+        data = bytearray(frames.read_bytes().splitlines(keepends=True)[0])
+        data[20] = 0xFF
+        bad.write_bytes(bytes(data))
+        built = tmp_path / "built.bsfp"
+        for argv in (["store", "build", "--input", str(bad), "--out", str(built)],
+                     ["search", "--store", str(snap), "--query", str(bad),
+                      "--topk", "1"]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 1
+            assert f"{bad}:1: not valid UTF-8 at byte 20" in result.output
+        assert not built.exists()
+
+    def test_bad_frame_names_its_line(self, runner, snapshot, tmp_path):
+        frames, _ = snapshot
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(frames.read_text().replace('"dim":768', '"dim":"768"'))
+        result = runner.invoke(main, ["store", "build", "--input", str(bad),
+                                      "--out", str(tmp_path / "built.bsfp")])
+        assert result.exit_code == 1
+        assert f"{bad}:1: frame field 'dim': must be a positive integer" in result.output
 
     def test_tau_and_topk_together_usage_error(self, runner, snapshot, tmp_path):
         frames, snap = snapshot

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from binaryshield.errors import SchemaError
 from binaryshield.evaluation import (AlphaSweepResult, BinaryShieldMethod,
                                      ConfusionMatrix, SimHashMethod,
                                      accuracy_at_k, alpha_sweep, calibrate_noise,
-                                     load_corpus, load_pairs, pr_sweep, prpoint,
-                                     spearman_rank_correlation, storage_report,
-                                     write_corpus_jsonl, write_pairs_jsonl)
+                                     pr_sweep, prpoint, spearman_rank_correlation,
+                                     storage_report)
 from binaryshield.records import CorpusRecord, PairRecord, VariantType
 from binaryshield.synthetic import SyntheticGenerator
+
+# The dataset loaders' tests live in test_records.py beside the other
+# readers'; this import also collects them here.
+from test_records import TestLoaders  # noqa: F401
 
 
 def _toy_pairs(n=20):
@@ -248,151 +250,6 @@ class TestStorageReport:
         report = storage_report(100, 768, float_bytes=8, measured_binary_bytes=12345)
         assert json.loads(report.to_json())["measured_binary_bytes"] == 12345
         assert "# binaryshield storage schema v1" in report.to_csv()
-
-
-class TestLoaders:
-    def _write(self, path, lines):
-        path.write_text("\n".join(json.dumps(obj) if isinstance(obj, dict)
-                                  else obj for obj in lines) + "\n")
-        return path
-
-    def test_pairs_roundtrip(self, tmp_path):
-        pairs = SyntheticGenerator(12).make_pairs(5, 5, rate=0.6)
-        path = tmp_path / "pairs.jsonl"
-        write_pairs_jsonl(pairs, path)
-        loaded = load_pairs(path)
-        assert loaded.records == pairs
-        assert loaded.dropped_empty == loaded.dropped_duplicate == 0
-
-    def test_duplicate_pair_content_dropped_and_counted(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "x y", "prompt_b": "z w", "label": 0,
-             "variant_type": "BENIGN_PAIR"},
-            {"id": "b", "prompt_a": "x y", "prompt_b": "z w", "label": 0,
-             "variant_type": "BENIGN_PAIR"}])
-        loaded = load_pairs(path)
-        assert len(loaded.records) == 1
-        assert loaded.dropped_duplicate == 1
-
-    def test_empty_prompt_dropped_and_counted(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "  ", "prompt_b": "z", "label": 0,
-             "variant_type": "BENIGN_PAIR"},
-            {"id": "b", "prompt_a": "x", "prompt_b": "y", "label": 0,
-             "variant_type": "BENIGN_PAIR"}])
-        loaded = load_pairs(path)
-        assert len(loaded.records) == 1
-        assert loaded.dropped_empty == 1
-
-    def test_duplicate_id_is_an_error(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 0,
-             "variant_type": "BENIGN_PAIR"},
-            {"id": "a", "prompt_a": "q", "prompt_b": "r", "label": 0,
-             "variant_type": "BENIGN_PAIR"}])
-        with pytest.raises(SchemaError, match="duplicate id"):
-            load_pairs(path)
-
-    def test_missing_field_names_line(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 1,
-             "variant_type": "V1"},
-            {"id": "b", "prompt_a": "x", "prompt_b": "y",
-             "variant_type": "V1"}])
-        with pytest.raises(SchemaError, match="p.jsonl:2.*label"):
-            load_pairs(path)
-
-    def test_malformed_json_names_line(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 1,
-             "variant_type": "V1"},
-            "{broken"])
-        with pytest.raises(SchemaError, match=":2"):
-            load_pairs(path)
-
-    def test_label_variant_consistency_enforced(self, tmp_path):
-        path = self._write(tmp_path / "p.jsonl", [
-            {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 0,
-             "variant_type": "V1"}])
-        with pytest.raises(SchemaError, match="inconsistent"):
-            load_pairs(path)
-
-    def test_empty_file_is_valid(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        path.write_text("")
-        assert load_pairs(path).records == []
-
-    def test_corpus_roundtrip_and_rules(self, tmp_path):
-        corpus, _ = SyntheticGenerator(13).make_hybrid_corpus(40, 2)
-        path = tmp_path / "c.jsonl"
-        write_corpus_jsonl(corpus, path)
-        loaded = load_corpus(path)
-        assert loaded.records == corpus
-
-    def test_corpus_attack_group_consistency(self, tmp_path):
-        path = self._write(tmp_path / "c.jsonl", [
-            {"id": "a", "text": "x", "is_attack": True}])
-        with pytest.raises(SchemaError, match="attack_group"):
-            load_corpus(path)
-
-    PAIR = {"id": "a", "prompt_a": "x", "prompt_b": "y", "label": 0,
-            "variant_type": "BENIGN_PAIR"}
-    CORPUS = {"id": "a", "text": "x", "is_attack": True, "attack_group": "g"}
-
-    @pytest.mark.parametrize("field, value", [
-        ("label", [1]), ("label", "1"), ("label", True), ("label", 1.0),
-        ("id", ["a"]), ("id", 5), ("prompt_a", None), ("prompt_b", {"t": "y"}),
-        ("variant_type", 3)])
-    def test_wrong_typed_pair_field(self, tmp_path, field, value):
-        path = self._write(tmp_path / "p.jsonl",
-                           [self.PAIR, {**self.PAIR, "id": "b", field: value}])
-        with pytest.raises(SchemaError, match=f"p.jsonl:2: field {field!r}"):
-            load_pairs(path)
-
-    @pytest.mark.parametrize("field, value", [
-        ("attack_group", ["g"]), ("attack_group", 7), ("id", ["a"]),
-        ("text", 5), ("is_attack", 1), ("is_attack", "true")])
-    def test_wrong_typed_corpus_field(self, tmp_path, field, value):
-        path = self._write(tmp_path / "c.jsonl",
-                           [self.CORPUS, {**self.CORPUS, "id": "b", field: value}])
-        with pytest.raises(SchemaError, match=f"c.jsonl:2: field {field!r}"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("load, record, name", [
-        (load_pairs, PAIR, "p.jsonl"), (load_corpus, CORPUS, "c.jsonl")])
-    def test_bytes_not_utf8_name_line_and_offset(self, tmp_path, load, record, name):
-        first = json.dumps(record).encode() + b"\n"
-        path = tmp_path / name
-        path.write_bytes(first + b'{"id": "b\xff"}\n')
-        offset = len(first) + len(b'{"id": "b')
-        with pytest.raises(SchemaError,
-                           match=f"{name}:2: not valid UTF-8 at byte {offset}$") as err:
-            load(path)
-        assert err.value.line == 2
-
-    def test_crlf_lines_load(self, tmp_path):
-        generator = SyntheticGenerator(14)
-        pairs = generator.make_pairs(3, 3, rate=0.6)
-        corpus, _ = generator.make_hybrid_corpus(10, 2)
-        for records, write, load in ((pairs, write_pairs_jsonl, load_pairs),
-                                     (corpus, write_corpus_jsonl, load_corpus)):
-            path = tmp_path / "crlf.jsonl"
-            write(records, path)
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
-            assert load(path).records == records
-
-    def test_null_attack_group_means_none(self, tmp_path):
-        path = self._write(tmp_path / "c.jsonl", [
-            {"id": "a", "text": "x", "is_attack": False, "attack_group": None}])
-        assert load_corpus(path).records[0].attack_group is None
-
-    def test_corpus_duplicate_text_dropped(self, tmp_path):
-        path = self._write(tmp_path / "c.jsonl", [
-            {"id": "a", "text": "same words", "is_attack": False},
-            {"id": "b", "text": "same words", "is_attack": False}])
-        loaded = load_corpus(path)
-        assert len(loaded.records) == 1
-        assert loaded.dropped_duplicate == 1
 
 
 class TestCsvDeterminism:

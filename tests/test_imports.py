@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and no module imports another package module's ``_``-prefixed names.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the first check: it imports names to
+re-export them.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pytest
 
 import binaryshield
 
-MODULES = sorted(p for p in Path(binaryshield.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE_MODULES = sorted(Path(binaryshield.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +32,15 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names ``source`` imports from the package."""
+    return [f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "binaryshield")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_guard_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom typing import Iterator\n"
                           "from . import kernels\nsys.exit(kernels)\n") == [
@@ -39,3 +50,16 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def test_guard_flags_a_private_import():
+    assert private_imports("from __future__ import annotations\n"
+                           "from .evaluation import _iter_jsonl, load_pairs\n"
+                           "from os import _exit\nfrom . import _kernels\n"
+                           "def f():\n    from binaryshield.store import _HEADER\n") == [
+        "line 2: _iter_jsonl", "line 4: _kernels", "line 6: _HEADER"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text("utf-8")) == []

@@ -12,13 +12,12 @@ from binaryshield.errors import FrameDecodeError, SchemaError
 from binaryshield.fingerprint import (hamming, keep_probability, pack_bits,
                                       quantize, randomize, random_fingerprint,
                                       unpack_bits)
-from binaryshield.evaluation import write_corpus_jsonl
 from binaryshield.protocol import (CampaignReport, CompositeFingerprint,
                                    CorrelationReply, PipelineConfig, ServiceNode,
                                    broadcast, compose, decode_frame, encode_frame,
                                    ingest_detection, simulate_campaign,
                                    write_demo_scenario)
-from binaryshield.records import CorpusRecord
+from binaryshield.records import CorpusRecord, write_corpus_jsonl
 from binaryshield.redaction import Redactor
 from binaryshield.store import FingerprintStore, StoredFingerprint
 from binaryshield.textproc import derive_seed
@@ -247,11 +246,13 @@ class TestBroadcast:
         assert replies[1].error is None
 
     def test_any_peer_failure_isolated_to_that_peer(self):
-        # tau 300 passed the node's check while its store had no dim; once
-        # the store holds 64-bit entries every search there raises
-        bad = ServiceNode(service_id="P0", store=FingerprintStore(), tau=300)
-        bad.store.insert(StoredFingerprint(id="b0", bits=random_fingerprint(64, 60).bits,
-                                           dim=64))
+        bad = _node("P0", dim=64, tau=64,
+                    entries=[("b0", random_fingerprint(64, 60).bits)])
+
+        def search_fails(*args, **kwargs):
+            raise OSError("log unreadable")
+
+        bad.store.search_threshold = search_fails
         query = random_fingerprint(64, 61)
         good = _node("P1", dim=64, tau=64, entries=[("g0", query.bits),
                                                     ("g1", random_fingerprint(64, 62).bits)])
@@ -261,9 +262,13 @@ class TestBroadcast:
             metadata={}, issued_at=0)
         replies = broadcast(f, [good, bad])
         assert [r.service_id for r in replies] == ["P0", "P1"]
-        assert replies[0].error.startswith("ValueError: tau must be in [0, 64]")
+        assert replies[0].error == "OSError: log unreadable"
         assert replies[0].match_count == 0
         assert replies[1].error is None and replies[1].match_count == 2
+
+    def test_node_on_a_store_without_dim_rejected(self):
+        with pytest.raises(ValueError, match="store of P0 has no dim"):
+            ServiceNode(service_id="P0", store=FingerprintStore(), tau=1000)
 
     def test_planted_variants_counted_exactly(self):
         dim = 768
@@ -370,8 +375,6 @@ class TestSimulateCampaign:
         assert simulate_campaign(path).to_json() == simulate_campaign(path).to_json()
 
     def test_zero_attack_scenario_all_zero(self, tmp_path):
-        from binaryshield.evaluation import write_corpus_jsonl
-        from binaryshield.records import CorpusRecord
         from binaryshield.synthetic import SyntheticGenerator
 
         gen = SyntheticGenerator(3)
