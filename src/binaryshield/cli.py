@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import wraps
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import click
 from . import bench as bench_mod
 from .atomicio import atomic_output
 from .embeddings import (ProviderConfig, ProviderKind, build_cache, make_provider)
-from .errors import BinaryShieldError
+from .errors import BinaryShieldError, SchemaError
 from .evaluation import (BinaryShieldMethod, SimHashMethod, accuracy_at_k,
                          alpha_sweep, calibrate_noise, pr_sweep, storage_report)
 from .fingerprint import PrivacyBudget, quantize, randomize
@@ -26,7 +27,7 @@ from .protocol import (compose, encode_frame, read_frames, simulate_campaign,
                        write_demo_scenario)
 from .records import (VariantType, load_corpus, load_pairs, load_prompts,
                       write_corpus_jsonl, write_pairs_jsonl)
-from .redaction import Redactor, entity_histogram, histogram_to_csv
+from .redaction import Redactor, histogram_to_csv
 from .simhash import simhash
 from .store import FingerprintStore, StoredFingerprint
 from .synthetic import SyntheticGenerator
@@ -183,15 +184,19 @@ def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--rules", "rules_path", type=click.Path(exists=True), default=None)
 @click.option("--histogram", "histogram_path", type=click.Path(dir_okay=False),
-              default=None, help="Also write a plot-ready entity-count CSV.")
+              default=None,
+              help="Also write a plot-ready entity-count CSV: the sum of the "
+                   "output rows' entity_counts.")
 @_data_errors
 def redact(input_path, out_path, rules_path, histogram_path):
     """Redact PII from prompts (JSONL in, JSONL with placeholders out)."""
     redactor = Redactor.from_config(rules_path) if rules_path else Redactor.default()
     records = load_prompts(input_path)
+    histogram = Counter()
     with atomic_output(out_path) as fh:
         for rec in records:
             result = redactor.redact(rec.text)
+            histogram.update(result.entity_counts)
             fh.write(json.dumps({
                 "id": rec.id, "text": result.text,
                 "entity_counts": {t.name: c for t, c in
@@ -200,7 +205,6 @@ def redact(input_path, out_path, rules_path, histogram_path):
                 "original_length": result.original_length,
             }, separators=(",", ":")) + "\n")
     if histogram_path:
-        histogram, _ = entity_histogram((r.text for r in records), redactor=redactor)
         with atomic_output(histogram_path) as fh:
             fh.write(histogram_to_csv(histogram))
     click.echo(f"redacted {len(records)} prompts to {out_path}")
@@ -293,10 +297,13 @@ def store_build(input_path, out_path):
     """Ingest wire frames into a searchable store snapshot."""
     store = FingerprintStore()
     count = 0
-    for frame in read_frames(input_path):
-        store.insert(StoredFingerprint(
-            id=frame.fingerprint_id, bits=frame.decoded_bits(),
-            dim=frame.dim, alpha=frame.alpha, metadata=frame.metadata))
+    for lineno, frame in read_frames(input_path):
+        try:
+            store.insert(StoredFingerprint(
+                id=frame.fingerprint_id, bits=frame.decoded_bits(),
+                dim=frame.dim, alpha=frame.alpha, metadata=frame.metadata))
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=input_path, line=lineno) from None
         count += 1
     store.save_snapshot(out_path)
     click.echo(f"stored {count} fingerprints in {out_path}")
@@ -321,9 +328,10 @@ def search(store_path, query_path, tau, topk, fmt, out_path):
     if (tau is None) == (topk is None):
         raise click.UsageError("specify exactly one of --tau or --topk")
     store = FingerprintStore.load_snapshot(store_path)
-    composite = next(read_frames(query_path), None)
-    if composite is None:
+    first = next(read_frames(query_path), None)
+    if first is None:
         raise click.ClickException(f"{query_path}: empty query file")
+    _, composite = first
     bits = composite.decoded_bits()
     if tau is not None:
         results = store.search_threshold(bits, tau,

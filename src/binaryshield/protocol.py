@@ -152,12 +152,13 @@ def decode_frame(data: bytes | str) -> CompositeFingerprint:
         raise FrameDecodeError("metadata", str(exc)) from None
 
 
-def read_frames(path: str | Path) -> Iterator[CompositeFingerprint]:
-    """Each frame of a frames file (one per non-blank line), in order. A
-    bad frame raises ``SchemaError`` at path:line with the field's message."""
+def read_frames(path: str | Path) -> Iterator[tuple[int, CompositeFingerprint]]:
+    """(line number, frame) for each frame of a frames file (one per
+    non-blank line), in order. A bad frame raises ``SchemaError`` at
+    path:line with the field's message."""
     for lineno, line in iter_lines(path):
         try:
-            yield decode_frame(line)
+            yield lineno, decode_frame(line)
         except FrameDecodeError as exc:
             raise SchemaError(str(exc), path=str(path), line=lineno) from None
 

@@ -20,6 +20,13 @@ from typing import Callable, Iterable
 
 from .errors import SchemaError
 
+try:
+    from re import _compiler as _regex_compiler
+    from re import _parser as _regex_parser
+except ImportError:  # Python 3.10 names them sre_compile and sre_parse
+    import sre_compile as _regex_compiler
+    import sre_parse as _regex_parser
+
 
 class EntityType(Enum):
     """Detected entity kinds; the default rules give each its value as
@@ -66,11 +73,17 @@ class RedactedPrompt:
 
 @dataclass(frozen=True)
 class Rule:
+    """One detection rule. ``literals`` and ``needs_digit`` are what every
+    match of ``pattern`` contains; ``Redactor.detect`` skips the rule on a
+    text without them. A rule built without them always runs."""
+
     entity: EntityType
     priority: int
     validator: Callable[[str], bool]
     validator_name: str
     pattern: re.Pattern
+    literals: frozenset[str] = frozenset()
+    needs_digit: bool = False
 
 
 # -- validators ---------------------------------------------------------------
@@ -116,9 +129,53 @@ def _load_wordlist(name: str) -> list[str]:
 
 
 def _dictionary_alternation(words: list[str]) -> str:
-    # Longest-first so the regex prefers full multi-word entries.
+    # Longest-first so the regex prefers full multi-word entries. The
+    # lookahead on the entries' first characters rejects most positions
+    # before the engine tries every entry.
     escaped = sorted((re.escape(w) for w in words), key=len, reverse=True)
-    return "(?:" + "|".join(escaped) + ")"
+    firsts = "".join(re.escape(ch) for ch in sorted({w[0] for w in words}))
+    return f"(?:(?=[{firsts}])(?:" + "|".join(escaped) + "))"
+
+
+_DIGIT = re.compile(r"\d")
+
+
+def _required(parsed) -> tuple[frozenset[str], bool]:
+    """What every match of a parsed pattern contains: its mandatory literal
+    runs, and whether it has a mandatory ``\\d``.
+
+    Only mandatory elements count: literals, ``\\d``, repeats with a
+    minimum of at least one, and groups. Branches, lookarounds and anything
+    else add nothing; literals under IGNORECASE add nothing either.
+    """
+    literals: set[str] = set()
+    needs_digit = False
+
+    def walk(items, ignorecase: bool) -> None:
+        nonlocal needs_digit
+        run: list[str] = []
+        for op, arg in items:
+            if op == _regex_parser.LITERAL and not ignorecase:
+                run.append(chr(arg))
+                continue
+            if run:
+                literals.add("".join(run))
+                run = []
+            if op == _regex_parser.IN:
+                needs_digit |= arg == [(_regex_parser.CATEGORY,
+                                        _regex_parser.CATEGORY_DIGIT)]
+            elif op in (_regex_parser.MAX_REPEAT, _regex_parser.MIN_REPEAT):
+                if arg[0] >= 1:
+                    walk(arg[2], ignorecase)
+            elif op == _regex_parser.SUBPATTERN:
+                _group, add_flags, del_flags, body = arg
+                walk(body, bool((ignorecase or add_flags & re.IGNORECASE)
+                                and not del_flags & re.IGNORECASE))
+        if run:
+            literals.add("".join(run))
+
+    walk(parsed, bool(parsed.state.flags & re.IGNORECASE))
+    return frozenset(literals), needs_digit
 
 
 def parse_rules(text: str, source: str = "<config>") -> tuple[int, list[Rule]]:
@@ -153,12 +210,18 @@ def parse_rules(text: str, source: str = "<config>") -> tuple[int, list[Rule]]:
         for macro, alternation in macros.items():
             pattern = pattern.replace(macro, alternation)
         try:
-            compiled = re.compile(pattern)
+            # One parse serves the gate and the compiled pattern: parsing a
+            # dictionary alternation costs about half of compiling it. A
+            # pattern compiled from its parse has ``.pattern`` None.
+            parsed = _regex_parser.parse(pattern)
+            literals, needs_digit = _required(parsed)
+            compiled = _regex_compiler.compile(parsed)
         except re.error as exc:
             raise SchemaError(f"bad pattern: {exc}", path=source, line=lineno) from None
         rules.append(Rule(entity=entity, priority=int(priority),
                           validator=VALIDATORS[validator_name.strip()],
-                          validator_name=validator_name.strip(), pattern=compiled))
+                          validator_name=validator_name.strip(), pattern=compiled,
+                          literals=literals, needs_digit=needs_digit))
     if version is None:
         raise SchemaError("missing 'version' line", path=source)
     return version, rules
@@ -170,6 +233,7 @@ class Redactor:
     def __init__(self, rules: list[Rule], version: int = 0):
         self._rules = tuple(rules)
         self.version = version
+        self._literals = frozenset().union(*(rule.literals for rule in self._rules))
 
     @classmethod
     def default(cls) -> "Redactor":
@@ -193,10 +257,15 @@ class Redactor:
         Candidates are resolved deterministically: longer span wins, then
         the matching rule's lower PRIORITY, then the entity type's lower
         value, then earlier start. Returned spans are non-overlapping and
-        sorted by start offset.
+        sorted by start offset. A rule whose required literals or digit
+        the text lacks cannot match and is skipped.
         """
+        has_digit = _DIGIT.search(text) is not None
+        present = {literal for literal in self._literals if literal in text}
         candidates: set[tuple[int, int, int, EntityType]] = set()
         for rule in self._rules:
+            if (rule.needs_digit and not has_digit) or not rule.literals <= present:
+                continue
             for m in rule.pattern.finditer(text):
                 if m.start() == m.end():
                     continue
@@ -216,9 +285,12 @@ class Redactor:
         """Replace every resolved span with its ``[ENTITY_TYPE]`` placeholder.
 
         Replacement runs right-to-left so earlier offsets stay valid, and
-        repeats until no rule matches, which makes redaction a fixed point
-        (a second pass is almost never needed; it only fires when a
-        partially overlapping candidate left a detectable tail).
+        repeats until no rule matches, which makes redaction a fixed point.
+        Whenever a pass found anything, a confirming pass follows (about 1.5
+        ``detect`` calls per redact on prompts that often carry PII); it
+        rarely finds more, only when a partially overlapping candidate left
+        a detectable tail. The confirming pass is cheap when the first
+        removed every digit, since the digit rules are then skipped.
         """
         counts: Counter[EntityType] = Counter()
         original_length = len(text)
@@ -236,23 +308,15 @@ class Redactor:
                               original_length=original_length)
 
 
-def entity_histogram(corpus: Iterable[object],
-                     redactor: Redactor | None = None) -> tuple[Counter, int]:
-    """Sum detected-entity counts across a corpus of strings.
-
-    Non-string / undecodable records are skipped and tallied in the second
-    return value instead of aborting the stream.
-    """
+def entity_histogram(corpus: Iterable[str],
+                     redactor: Redactor | None = None) -> Counter:
+    """Sum detected-entity counts across a corpus of strings."""
     redactor = redactor or Redactor.default()
     histogram: Counter[EntityType] = Counter()
-    skipped = 0
-    for item in corpus:
-        if not isinstance(item, str):
-            skipped += 1
-            continue
-        for span in redactor.detect(item):
+    for text in corpus:
+        for span in redactor.detect(text):
             histogram[span.entity_type] += 1
-    return histogram, skipped
+    return histogram
 
 
 def histogram_to_csv(histogram: Counter) -> str:

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 
 from binaryshield.cli import Knob, main
 from binaryshield.protocol import decode_frame
+from binaryshield.redaction import Redactor
 
 SENTINEL = "qvxjwsentineltoken99"
 
@@ -152,6 +156,35 @@ class TestRedactCli:
         assert rows[1]["entity_counts"] == {"PERSON": 1, "AMOUNT": 1, "ACCOUNT": 1}
         assert hist.read_text().startswith("entity,count")
 
+    def test_histogram_sums_row_counts_with_one_detect_per_pass(
+            self, runner, prompts_file, tmp_path, monkeypatch):
+        # the last prompt's confirming pass finds an entity the first missed
+        texts = [json.loads(l)["text"] for l in prompts_file.read_text().splitlines()]
+        texts.append("ssn 128-62-2435 4111 1111 1111 1111 ok")
+        prompts = tmp_path / "two_pass.jsonl"
+        prompts.write_text("".join(json.dumps({"id": f"q{i}", "text": t}) + "\n"
+                                   for i, t in enumerate(texts)))
+        calls = []
+        detect = Redactor.detect
+        monkeypatch.setattr(Redactor, "detect",
+                            lambda self, text: calls.append(text) or detect(self, text))
+        redactor = Redactor.default()
+        for text in texts:
+            redactor.redact(text)
+        passes = len(calls)
+        calls.clear()
+        out, hist = tmp_path / "red.jsonl", tmp_path / "hist.csv"
+        _ok(runner.invoke(main, ["redact", "--input", str(prompts), "--out", str(out),
+                                 "--histogram", str(hist)]))
+        assert len(calls) == passes
+        summed = Counter()
+        for line in out.read_text().splitlines():
+            summed.update(json.loads(line)["entity_counts"])
+        assert summed["CREDIT_CARD"] == 1
+        rows = list(csv.reader(io.StringIO(hist.read_text())))
+        assert rows[0] == ["entity", "count"]
+        assert {name: int(n) for name, n in rows[1:] if n != "0"} == summed
+
     def test_input_not_utf8_exits_1_at_line(self, runner, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"id": "a", "text": "fine"}\n{"id": "b", "text": "\xff"}\n')
@@ -232,6 +265,18 @@ class TestStoreAndSearch:
                                       "--out", str(tmp_path / "built.bsfp")])
         assert result.exit_code == 1
         assert f"{bad}:1: frame field 'dim': must be a positive integer" in result.output
+
+    def test_repeated_id_names_its_line(self, runner, snapshot, tmp_path):
+        frames, _ = snapshot
+        lines = frames.read_text().splitlines()
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join(lines[:2] + lines[:1]) + "\n")
+        built = tmp_path / "built.bsfp"
+        result = runner.invoke(main, ["store", "build", "--input", str(repeated),
+                                      "--out", str(built)])
+        assert result.exit_code == 1
+        assert f"{repeated}:3: duplicate fingerprint id 'p1'" in result.output
+        assert not built.exists()
 
     def test_tau_and_topk_together_usage_error(self, runner, snapshot, tmp_path):
         frames, snap = snapshot

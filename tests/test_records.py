@@ -184,7 +184,8 @@ class TestReadFrames:
     def test_frames_in_order_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_bytes(b"\n" + _valid_file("frames").replace(b"\n", b"\r\n\n"))
-        assert [f.fingerprint_id for f in read_frames(path)] == ["f1", "f2"]
+        assert [(n, f.fingerprint_id) for n, f in read_frames(path)] == [
+            (2, "f1"), (4, "f2")]
 
     def test_bad_frame_names_path_line_and_field(self, tmp_path):
         path = tmp_path / "f.jsonl"
