@@ -58,17 +58,21 @@ def _provider(*kinds, **kwargs):
     return _knob("--provider", type=click.Choice(kinds), default="pseudo", **kwargs)
 
 
+def _budget(ctx, param, value):
+    """A privacy budget's alpha: a positive finite number."""
+    try:
+        return PrivacyBudget(float(value)).alpha
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a positive finite number") from None
+
+
 def _budget_or_none(ctx, param, value):
     """A privacy budget, or None for 'none' (the noise-free pipeline)."""
-    try:
-        return None if value == "none" else PrivacyBudget.of(value).alpha
-    except ValueError:
-        raise click.BadParameter(
-            f"{value!r} is neither a positive finite number nor 'none'") from None
+    return None if value == "none" else _budget(ctx, param, value)
 
 
 DIM = _knob("--dim", type=int, default=768)
-ALPHA = _knob("--alpha", type=click.FloatRange(min=0, min_open=True), default=2.0)
+ALPHA = _knob("--alpha", default="2.0", metavar="FLOAT", callback=_budget)
 SEED = _knob("--seed", type=int, default=0)
 ENDPOINT_URL = _knob("--endpoint-url", default=None)
 API_KEY_ENV = _knob("--api-key-env", default=None)
@@ -158,8 +162,7 @@ def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
     for i, rec in enumerate(records):
         try:
             redacted = redactor.redact(rec.text)
-            priv = randomize(quantize(prov.embed(redacted)),
-                             PrivacyBudget.of(alpha),
+            priv = randomize(quantize(prov.embed(redacted)), alpha,
                              derive_seed(seed, service_id, rec.id))
             frames.append(encode_frame(compose(service_id, rec.id, priv,
                                                rec.metadata, i)))

@@ -345,7 +345,7 @@ class RemoteHttpProvider:
                 headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _post_chunk(self, texts: list[str]) -> list[np.ndarray]:
+    def _post_chunk(self, texts: list[str]) -> list[DenseEmbedding]:
         body = json.dumps({"model": self.model_id, "input": texts}).encode("utf-8")
         last_error: EmbeddingTransportError | None = None
         for attempt in range(1, self.MAX_ATTEMPTS + 1):
@@ -369,27 +369,43 @@ class RemoteHttpProvider:
                 self._sleeper(self.BACKOFF_S * (2 ** (attempt - 1)))
         raise last_error
 
-    def _parse(self, payload: bytes, expected: int) -> list[np.ndarray]:
+    def _parse(self, payload: bytes, expected: int) -> list[DenseEmbedding]:
+        """The embeddings of a 2xx reply body, in input order. Any fault in
+        the body raises ``EmbeddingTransportError``."""
         try:
             obj = json.loads(payload)
-            items = obj["data"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise EmbeddingTransportError(f"malformed response body: {exc}")
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep
+            raise EmbeddingTransportError(f"malformed response body: {exc}") from None
+        items = obj.get("data") if isinstance(obj, dict) else None
+        if not (isinstance(items, list)
+                and all(isinstance(item, dict) for item in items)):
+            raise EmbeddingTransportError(
+                "malformed response body: 'data' must be a list of objects")
         if len(items) != expected:
             raise EmbeddingTransportError(
                 f"response has {len(items)} embeddings for {expected} inputs")
-        if all(isinstance(item, dict) and "index" in item for item in items):
-            items = sorted(items, key=lambda item: item["index"])
-        vectors = []
-        for item in items:
-            values = np.asarray(item["embedding"], dtype=np.float64)
-            if values.size != self.dim:
+        if any("index" in item for item in items):
+            indexes = [item.get("index") for item in items]
+            if not (all(type(i) is int for i in indexes)
+                    and sorted(indexes) == list(range(expected))):
                 raise EmbeddingTransportError(
-                    f"embedding length {values.size} != configured dim {self.dim}")
-            if not np.isfinite(values).all():
-                raise EmbeddingTransportError("non-finite value in response embedding")
-            vectors.append(values.astype(np.float32))
-        return vectors
+                    "malformed response body: 'index' values must be 0..n-1")
+            items = sorted(items, key=lambda item: item["index"])
+        embeddings = []
+        for item in items:
+            values = item.get("embedding")
+            if not (isinstance(values, list)
+                    and all(type(v) in (int, float) for v in values)):
+                raise EmbeddingTransportError(
+                    "malformed response body: 'embedding' must be a list of numbers")
+            try:
+                embeddings.append(DenseEmbedding(
+                    values=np.asarray(values, dtype=np.float64).astype(np.float32),
+                    model_id=self.model_id, dim=self.dim))
+            except (ValueError, OverflowError) as exc:
+                raise EmbeddingTransportError(
+                    f"malformed response body: {exc}") from None
+        return embeddings
 
     def _check_input(self, text: TextLike) -> str:
         if not isinstance(text, RedactedPrompt):
@@ -416,8 +432,7 @@ class RemoteHttpProvider:
                     f"batch chunk {i // size} (inputs {i}..{i + len(chunk) - 1}) "
                     f"failed: {exc}", status=exc.status, attempts=exc.attempts,
                     retryable=exc.retryable) from exc
-            out.extend(DenseEmbedding(values=v, model_id=self.model_id, dim=self.dim)
-                       for v in vectors)
+            out.extend(vectors)
         return out
 
 

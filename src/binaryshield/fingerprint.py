@@ -14,6 +14,7 @@ Bit i is kept when ``u_i < p`` (strict) and flipped otherwise. Identical
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -53,13 +54,7 @@ def pack_bits(bits: Sequence[int] | np.ndarray) -> bytes:
 
 def unpack_bits(data: bytes, dim: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; rejects payloads with nonzero padding."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    expected = packed_length(dim)
-    if len(data) != expected:
-        raise CorruptPayload(
-            f"packed payload is {len(data)} bytes, expected {expected} for dim {dim}")
-    check_padding(data, dim)
+    check_payload(data, dim)
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=dim,
                          bitorder="little")
 
@@ -76,6 +71,18 @@ def check_padding(data: bytes, dim: int) -> None:
     if mask and data[-1] & mask:
         raise CorruptPayload(
             f"nonzero padding bits beyond index {dim - 1} (corrupt payload)")
+
+
+def check_payload(data: bytes, dim: int) -> None:
+    """The packed payload rule: dim >= 1 (``ValueError``), then exactly
+    ``packed_length(dim)`` bytes with zero padding (``CorruptPayload``)."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    expected = packed_length(dim)
+    if len(data) != expected:
+        raise CorruptPayload(
+            f"length {len(data)} bytes, expected {expected} for dim {dim}")
+    check_padding(data, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +107,20 @@ class DenseEmbedding:
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-bit privacy budget (nats); larger alpha means less noise."""
+    """Per-bit privacy budget (nats); larger alpha means less noise. The one
+    alpha rule: positive and at most the largest float, so NaN, infinities
+    and too-large integers are a ``ValueError``. Stored as a float."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+        if not 0 < self.alpha <= sys.float_info.max:
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
     def of(cls, value: Union["PrivacyBudget", float]) -> "PrivacyBudget":
-        return value if isinstance(value, PrivacyBudget) else cls(float(value))
+        return value if isinstance(value, PrivacyBudget) else cls(value)
 
 
 @dataclass(frozen=True)
@@ -128,13 +138,7 @@ class BinaryFingerprint:
     noise_seed: int | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if len(self.bits) != packed_length(self.dim):
-            raise CorruptPayload(
-                f"payload is {len(self.bits)} bytes, expected "
-                f"{packed_length(self.dim)} for dim {self.dim}")
-        check_padding(self.bits, self.dim)
+        check_payload(self.bits, self.dim)
         object.__setattr__(self, "bits", bytes(self.bits))
         if self.alpha is not None:
             object.__setattr__(self, "alpha", PrivacyBudget.of(self.alpha))

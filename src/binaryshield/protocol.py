@@ -11,18 +11,15 @@ counts; per-match ids stay inside the owning service.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .embeddings import PseudoEmbedder
 from .errors import CorruptPayload, FrameDecodeError, SchemaError
-from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
-                          packed_length, quantize, randomize)
+from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_payload,
+                          quantize, randomize)
 from .records import (CorpusRecord, check_metadata, iter_lines, load_corpus,
                       write_corpus_jsonl)
 from .redaction import Redactor
@@ -33,13 +30,25 @@ from .textproc import derive_seed
 FRAME_VERSION = 1
 # The simulator's PseudoEmbedder keeps a dim-long float64 vector per token.
 MAX_SCENARIO_DIM = 1 << 16
-_FRAME_KEYS = ("version", "origin_service", "fingerprint_id", "dim", "alpha",
-               "bits_base64", "metadata", "issued_at")
+# Each frame key, in wire order, with the JSON types it may hold (a bool
+# is not a number here) and the reason a value of another type gets.
+_FRAME_FIELDS = {
+    "version": ((int,), "must be an integer"),
+    "origin_service": ((str,), "must be a string"),
+    "fingerprint_id": ((str,), "must be a string"),
+    "dim": ((int,), "must be a positive integer"),
+    "alpha": ((int, float), "must be a positive finite number"),
+    "bits_base64": ((str,), "must be a string"),
+    "metadata": ((dict,), "must be an object"),
+    "issued_at": ((int,), "must be an integer"),
+}
 
 
 @dataclass(frozen=True)
 class CompositeFingerprint:
-    """Privatized bits plus non-private metadata; the wire object."""
+    """Privatized bits plus non-private metadata; the wire object. Its values
+    are checked only here: a bad one raises ``FrameDecodeError`` naming the
+    field, however the composite was made. ``alpha`` is stored as a float."""
 
     version: int
     origin_service: str
@@ -51,17 +60,24 @@ class CompositeFingerprint:
     issued_at: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        decoded = self.decoded_bits()
-        if len(decoded) != packed_length(self.dim):
-            raise ValueError(
-                f"decoded payload is {len(decoded)} bytes, expected "
-                f"{packed_length(self.dim)} for dim {self.dim}")
-        check_padding(decoded, self.dim)
-        check_metadata(self.metadata)
+        try:
+            object.__setattr__(self, "alpha", PrivacyBudget(self.alpha).alpha)
+        except ValueError:
+            raise FrameDecodeError("alpha", _FRAME_FIELDS["alpha"][1]) from None
+        try:
+            bits = self.decoded_bits()
+        except ValueError as exc:       # binascii.Error, or not ASCII
+            raise FrameDecodeError("bits_base64", f"invalid base64: {exc}") from None
+        try:
+            check_payload(bits, self.dim)
+        except CorruptPayload as exc:
+            raise FrameDecodeError("bits_base64", f"decoded {exc}") from None
+        except ValueError:
+            raise FrameDecodeError("dim", _FRAME_FIELDS["dim"][1]) from None
+        try:
+            check_metadata(self.metadata)
+        except ValueError as exc:
+            raise FrameDecodeError("metadata", str(exc)) from None
 
     def decoded_bits(self) -> bytes:
         return base64.b64decode(self.bits_base64, validate=True)
@@ -76,7 +92,7 @@ def compose(origin_service: str, fingerprint_id: str, release: BinaryFingerprint
     return CompositeFingerprint(
         version=FRAME_VERSION, origin_service=origin_service,
         fingerprint_id=fingerprint_id, dim=release.dim,
-        alpha=float(release.alpha.alpha),
+        alpha=release.alpha.alpha,
         bits_base64=base64.b64encode(release.bits).decode("ascii"),
         metadata=dict(metadata), issued_at=issued_at)
 
@@ -110,46 +126,16 @@ def decode_frame(data: bytes | str) -> CompositeFingerprint:
         raise FrameDecodeError("<frame>", f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FrameDecodeError("<frame>", "frame is not a JSON object")
-    for key in _FRAME_KEYS:
+    for key in _FRAME_FIELDS:
         if key not in obj:
             raise FrameDecodeError(key, "missing required key")
-    unknown = set(obj) - set(_FRAME_KEYS)
+    unknown = set(obj) - set(_FRAME_FIELDS)
     if unknown:
         raise FrameDecodeError(sorted(unknown)[0], "unknown key")
-    if type(obj["version"]) is not int:
-        raise FrameDecodeError("version", "must be an integer")
-    for key in ("origin_service", "fingerprint_id", "bits_base64"):
-        if not isinstance(obj[key], str):
-            raise FrameDecodeError(key, "must be a string")
-    if type(obj["dim"]) is not int or obj["dim"] < 1:
-        raise FrameDecodeError("dim", "must be a positive integer")
-    alpha = obj["alpha"]
-    if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
-        raise FrameDecodeError("alpha", "must be a positive finite number")
-    if type(obj["issued_at"]) is not int:
-        raise FrameDecodeError("issued_at", "must be an integer")
-    if not isinstance(obj["metadata"], dict):
-        raise FrameDecodeError("metadata", "must be an object")
-    try:
-        decoded = base64.b64decode(obj["bits_base64"], validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise FrameDecodeError("bits_base64", f"invalid base64: {exc}") from None
-    if len(decoded) != packed_length(obj["dim"]):
-        raise FrameDecodeError(
-            "bits_base64", f"decoded length {len(decoded)} != "
-            f"{packed_length(obj['dim'])} required for dim {obj['dim']}")
-    try:
-        check_padding(decoded, obj["dim"])
-    except CorruptPayload as exc:
-        raise FrameDecodeError("bits_base64", str(exc)) from None
-    try:
-        return CompositeFingerprint(
-            version=obj["version"], origin_service=obj["origin_service"],
-            fingerprint_id=obj["fingerprint_id"], dim=obj["dim"],
-            alpha=float(alpha), bits_base64=obj["bits_base64"],
-            metadata=dict(obj["metadata"]), issued_at=obj["issued_at"])
-    except ValueError as exc:
-        raise FrameDecodeError("metadata", str(exc)) from None
+    for key, (types, reason) in _FRAME_FIELDS.items():
+        if type(obj[key]) not in types:
+            raise FrameDecodeError(key, reason)
+    return CompositeFingerprint(**obj)
 
 
 def read_frames(path: str | Path) -> Iterator[tuple[int, CompositeFingerprint]]:
@@ -353,10 +339,13 @@ def simulate_campaign(scenario: dict | str | Path,
     seed = _field(obj, "seed", (int,), where, "scenario")
     services = _field(obj, "services", (list,), where, "scenario")
     events = _field(obj, "events", (list,), where, "scenario")
-    if not (1 <= dim <= MAX_SCENARIO_DIM and 0 < alpha <= sys.float_info.max):
-        raise SchemaError(f"needs dim in [1, {MAX_SCENARIO_DIM}] and a positive "
-                          f"finite alpha, got dim {dim}, alpha {alpha}", path=where)
-    alpha = float(alpha)
+    if not 1 <= dim <= MAX_SCENARIO_DIM:
+        raise SchemaError(f"needs dim in [1, {MAX_SCENARIO_DIM}], got {dim}",
+                          path=where)
+    try:
+        alpha = PrivacyBudget(alpha).alpha
+    except ValueError as exc:
+        raise SchemaError(f"scenario {exc}", path=where) from None
     config = PipelineConfig(redactor=redactor or Redactor.default(),
                             provider=PseudoEmbedder(dim=dim), alpha=alpha,
                             base_seed=seed, dim=dim)

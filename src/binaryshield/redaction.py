@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import SchemaError
 
@@ -306,17 +306,6 @@ class Redactor:
                            + current[span.end:])
         return RedactedPrompt(text=current, entity_counts=dict(counts),
                               original_length=original_length)
-
-
-def entity_histogram(corpus: Iterable[str],
-                     redactor: Redactor | None = None) -> Counter:
-    """Sum detected-entity counts across a corpus of strings."""
-    redactor = redactor or Redactor.default()
-    histogram: Counter[EntityType] = Counter()
-    for text in corpus:
-        for span in redactor.detect(text):
-            histogram[span.entity_type] += 1
-    return histogram
 
 
 def histogram_to_csv(histogram: Counter) -> str:

@@ -27,7 +27,7 @@ from . import kernels
 from .atomicio import atomic_output
 from .errors import CorruptPayload, DimensionMismatch
 from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
-                          packed_length, padding_mask)
+                          check_payload, packed_length, padding_mask)
 
 SNAPSHOT_MAGIC = b"BSFP\x00\x01"
 _HEADER = struct.Struct("<II")      # dim, record count
@@ -191,13 +191,7 @@ class FingerprintStore:
                 isinstance(k, str) and isinstance(v, str)
                 for k, v in fp.metadata.items()):
             raise ValueError(f"entry {fp.id}: metadata must map strings to strings")
-        if fp.dim < 1:
-            raise ValueError(f"entry {fp.id}: dim must be >= 1, got {fp.dim}")
-        if len(fp.bits) != packed_length(fp.dim):
-            raise CorruptPayload(
-                f"entry {fp.id}: payload is {len(fp.bits)} bytes, "
-                f"expected {packed_length(fp.dim)} for dim {fp.dim}")
-        check_padding(fp.bits, fp.dim)
+        check_payload(fp.bits, fp.dim)
         alpha = math.nan if fp.alpha is None else PrivacyBudget.of(fp.alpha).alpha
         row = kernels.bytes_to_words(fp.bits)
         with self._lock:
@@ -251,8 +245,8 @@ class FingerprintStore:
                 for i in idx[order]]
 
     def search_threshold(self, query: QueryLike, tau: int,
-                         query_metadata: dict[str, str] | None = None,
-                         min_metadata_overlap: int = 0) -> list[MatchResult]:
+                         query_metadata: dict[str, str] | None = None
+                         ) -> list[MatchResult]:
         """Every entry within Hamming distance tau, ordered by
         (distance asc, insertion sequence asc)."""
         if self.dim is None:
@@ -263,10 +257,7 @@ class FingerprintStore:
             return []
         distances = self._distances(query)
         idx = np.flatnonzero(distances <= tau)
-        results = self._ordered(idx, distances, query_metadata)
-        if min_metadata_overlap > 0:
-            results = [r for r in results if r.metadata_overlap >= min_metadata_overlap]
-        return results
+        return self._ordered(idx, distances, query_metadata)
 
     def search_topk(self, query: QueryLike, k: int,
                     query_metadata: dict[str, str] | None = None) -> list[MatchResult]:

@@ -526,6 +526,22 @@ class TestKnobs:
                 assert result.exit_code == 2, (args, env, result.output)
                 assert flag in result.output
 
+    @pytest.mark.parametrize("command", ["fingerprint", "gen scenario"])
+    def test_alpha_that_is_no_budget_is_usage_error(self, runner, tmp_path,
+                                                   prompts_file, command):
+        out = tmp_path / "out"
+        args = {"fingerprint": ["fingerprint", "--input", str(prompts_file),
+                                "--out", str(out)],
+                "gen scenario": ["gen", "scenario", "--out-dir", str(out)]}[command]
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"alpha": 10**400}))
+        for argv in ([*args, "--alpha", "nan"], [*args, "--alpha", "inf"],
+                     [*args, "--alpha", "1e400"], ["--config", str(config), *args]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 2, (argv, result.output)
+            assert "--alpha" in result.output and "positive finite" in result.output
+            assert not out.exists()
+
     def test_search_topk_ignores_exported_tau(self, runner, prompts_file, tmp_path):
         frames, snap = tmp_path / "frames.jsonl", tmp_path / "snap.bsfp"
         _ok(runner.invoke(main, ["fingerprint", "--input", str(prompts_file),

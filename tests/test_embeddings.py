@@ -385,6 +385,82 @@ class TestRemoteProvider:
             provider.embed_batch([_redacted(f"t{i}") for i in range(20)])
 
 
+def _reply_provider(body: bytes):
+    return _remote(dim=4, transport=lambda *a: (200, body))[0]
+
+
+_TWO_ITEMS = {"data": [{"index": 0, "embedding": [0.5, -1, 2, 0]},
+                       {"index": 1, "embedding": [-0.5, 1, -2, 3]}]}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3), max_leaves=10)
+
+
+class TestRemoteReplyParsing:
+    """A 2xx reply body is untrusted input: it yields the embeddings or an
+    EmbeddingTransportError, never a bare error or a coerced value."""
+
+    def test_two_items_in_index_order(self):
+        body = {"data": _TWO_ITEMS["data"][::-1]}
+        out = _reply_provider(json.dumps(body).encode()).embed_batch(
+            [_redacted("a"), _redacted("b")])
+        assert [e.values.tolist() for e in out] == [[0.5, -1, 2, 0], [-0.5, 1, -2, 3]]
+
+    @pytest.mark.parametrize("body", [
+        b'{"data": 5}', b'{"data": [5]}', b'{"data": [{"index": 0}]}',
+        b'{"data": [{"embedding": "abcd"}]}', b"\xff", b"[" * 100_000,
+        b'{"data": [{"embedding": [[1], [2], [3], [4]]}]}',
+        b'{"data": [{"embedding": ["1", "2", "3", "4"]}]}',
+        b'{"data": [{"embedding": [true, false, true, false]}]}',
+        b'{"data": [{"embedding": [1e300, 1, 1, 1]}]}',
+        b'{"data": [{"embedding": [1' + b"0" * 400 + b', 1, 1, 1]}]}',
+        b'{"data": [{"index": 1, "embedding": [1, 1, 1, 1]}]}',
+        b'{"data": [{"index": true, "embedding": [1, 1, 1, 1]}]}',
+    ], ids=["data_int", "item_int", "no_embedding", "embedding_str", "not_utf8",
+            "deep", "nested", "strings", "booleans", "float32_overflow", "int400",
+            "index_1", "index_bool"])
+    def test_malformed_reply_is_a_transport_error(self, body):
+        with pytest.raises(EmbeddingTransportError, match="malformed"):
+            _reply_provider(body).embed(_redacted("x"))
+
+    def test_index_on_some_items_only_rejected(self):
+        body = {"data": [_TWO_ITEMS["data"][0], {"embedding": [1, 1, 1, 1]}]}
+        with pytest.raises(EmbeddingTransportError, match="index"):
+            _reply_provider(json.dumps(body).encode()).embed_batch(
+                [_redacted("a"), _redacted("b")])
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=200)
+    def test_any_bytes(self, body):
+        try:
+            out = _reply_provider(body).embed(_redacted("x"))
+        except EmbeddingTransportError:
+            return
+        assert out.dim == 4 and np.isfinite(out.values).all()
+
+    @given(st.sampled_from(["data", "item", "embedding", "index"]), _JSON_VALUES)
+    @settings(max_examples=400)
+    def test_any_json_value_in_any_position(self, position, value):
+        body = json.loads(json.dumps(_TWO_ITEMS))
+        if position == "data":
+            body["data"] = value
+        elif position == "item":
+            body["data"][0] = value
+        else:
+            body["data"][0][position] = value
+        try:
+            out = _reply_provider(json.dumps(body).encode()).embed_batch(
+                [_redacted("a"), _redacted("b")])
+        except EmbeddingTransportError:
+            return
+        assert [e.dim for e in out] == [4, 4]
+        if position == "embedding":
+            assert out[0].values.tolist() == np.float32(value).tolist()
+        if position == "index":
+            assert value == 0 and type(value) is int
+
+
 class TestProviderConfig:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint_url"):

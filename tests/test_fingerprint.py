@@ -226,6 +226,11 @@ class TestTypes:
         assert PrivacyBudget.of(1.5).alpha == 1.5
         assert PrivacyBudget.of(PrivacyBudget(2.0)).alpha == 2.0
 
+    def test_privacy_budget_rejects_int_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="positive finite"):
+            PrivacyBudget(10**400)
+        assert type(PrivacyBudget(2).alpha) is float
+
     def test_fingerprint_padding_validation(self):
         with pytest.raises(CorruptPayload):
             BinaryFingerprint(bits=b"\xff", dim=3)

@@ -187,6 +187,52 @@ class TestFrameFormat:
         assert encode_frame(decode_frame(encode_frame(c))) == encode_frame(c)
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+_NINE_BITS = {"version": 1, "origin_service": "S1", "fingerprint_id": "f",
+              "dim": 9, "alpha": 1.5, "bits_base64": _b64(b"\x01\x01"),
+              "metadata": {"k": "v"}, "issued_at": 0}
+# fault id -> (the field it is reported on, the values that make it)
+_COMPOSITE_FAULTS = {
+    "dim0": ("dim", {"dim": 0}),
+    "alpha0": ("alpha", {"alpha": 0}),
+    "alpha_nan": ("alpha", {"alpha": float("nan")}),
+    "alpha_inf": ("alpha", {"alpha": float("inf")}),
+    "alpha_int400": ("alpha", {"alpha": 10**400}),
+    "short_bits": ("bits_base64", {"bits_base64": _b64(b"\x01")}),
+    "long_bits": ("bits_base64", {"bits_base64": _b64(b"\x01\x01\x00")}),
+    "padded_bits": ("bits_base64", {"bits_base64": _b64(b"\x01\x03")}),
+    "bad_base64": ("bits_base64", {"bits_base64": "AQ!="}),
+    "metadata_newline": ("metadata", {"metadata": {"k": "a\nb"}}),
+}
+
+
+class TestOneValueRule:
+    """A composite checks its own values; decode_frame adds only JSON and
+    type checks, so a fault reads the same from either door."""
+
+    def test_unfaulted_values_are_valid(self):
+        assert decode_frame(json.dumps(_NINE_BITS)) == CompositeFingerprint(**_NINE_BITS)
+
+    @pytest.mark.parametrize("field, fault", _COMPOSITE_FAULTS.values(),
+                             ids=list(_COMPOSITE_FAULTS))
+    def test_same_error_built_or_decoded(self, field, fault):
+        values = {**_NINE_BITS, **fault}
+        with pytest.raises(FrameDecodeError) as built:
+            CompositeFingerprint(**values)
+        with pytest.raises(FrameDecodeError) as decoded:
+            decode_frame(json.dumps(values))    # NaN and Infinity as literals
+        assert built.value.field == decoded.value.field == field
+        assert str(built.value) == str(decoded.value)
+
+    def test_integer_alpha_is_stored_as_a_float(self):
+        decoded = decode_frame(json.dumps({**_NINE_BITS, "alpha": 2}))
+        assert type(decoded.alpha) is float
+        assert b'"alpha":2.0' in encode_frame(decoded)
+
+
 def _no_constant(name):
     raise AssertionError(f"frame encodes {name}, which is not JSON")
 

@@ -228,11 +228,6 @@ class TestSearchThreshold:
                                          query_metadata={"tool": "email",
                                                          "region": "eu"})
         assert [(r.id, r.metadata_overlap) for r in results] == [("a", 2), ("b", 1)]
-        filtered = store.search_threshold(pack_bits([1] * 8), tau=8,
-                                          query_metadata={"tool": "email",
-                                                          "region": "eu"},
-                                          min_metadata_overlap=2)
-        assert [r.id for r in filtered] == ["a"]
 
 
 class TestSearchTopK:
@@ -545,6 +540,12 @@ class TestAlphaValidation:
         with pytest.raises(ValueError, match="alpha"):
             store.insert(_fp("bad", [0, 1] * 12, alpha=alpha))
         assert len(store) == 1 and [e.id for e in store] == ["ok"]
+
+    def test_insert_rejects_alpha_too_large_for_a_float(self):
+        store = FingerprintStore()
+        with pytest.raises(ValueError, match="alpha must be a positive finite"):
+            store.insert(_fp("bad", [0, 1] * 12, alpha=10**400))
+        assert len(store) == 0 and store.dim is None
 
     @pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=str)
     def test_load_rejects_invalid_alpha(self, tmp_path, alpha):
