@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .fingerprint import packed_length
-from .store import FingerprintStore, QueryLike, StoredFingerprint, query_bytes
+from .fingerprint import pack_last_axis, packed_length
+from .store import FingerprintStore, StoredFingerprint, query_bytes
 
 
 @dataclass
@@ -54,7 +54,7 @@ def random_bit_rows(n: int, dim: int, seed: int) -> np.ndarray:
     """(n, ceil(dim/8)) packed uint8 rows with zeroed padding."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     bits = rng.integers(0, 2, size=(n, dim), dtype=np.uint8)
-    return np.packbits(bits, axis=1, bitorder="little")
+    return pack_last_axis(bits)
 
 
 def make_random_store(n: int, dim: int, seed: int) -> FingerprintStore:
@@ -64,11 +64,6 @@ def make_random_store(n: int, dim: int, seed: int) -> FingerprintStore:
         store.insert(StoredFingerprint(id=f"e{i}", bits=rows[i].tobytes(),
                                        dim=dim))
     return store
-
-
-def make_random_queries(q: int, dim: int, seed: int) -> list[bytes]:
-    rows = random_bit_rows(q, dim, seed)
-    return [rows[i].tobytes() for i in range(q)]
 
 
 def random_unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
@@ -83,7 +78,7 @@ def random_unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
 
 
 def scan_benchmark(store: FingerprintStore,
-                   queries: Sequence[QueryLike]) -> ScanReport:
+                   queries: Sequence[bytes]) -> ScanReport:
     """Time a per-query top-1 packed-Hamming scan over the whole store.
 
     Queries are processed one at a time, mirroring how a correlation
@@ -150,8 +145,8 @@ def efficiency_run(n: int, n_queries: int, dim: int = 768,
                    seed: int = 0) -> EfficiencyReport:
     """Build one random packed corpus and one random dense corpus of the
     same size and time a per-query top-1 scan over each."""
-    packed = scan_benchmark(make_random_store(n, dim, seed),
-                            make_random_queries(n_queries, dim, seed + 1000))
+    queries = [row.tobytes() for row in random_bit_rows(n_queries, dim, seed + 1000)]
+    packed = scan_benchmark(make_random_store(n, dim, seed), queries)
     dense = dense_scan_benchmark(random_unit_rows(n, dim, seed + 1),
                                  random_unit_rows(n_queries, dim, seed + 1001))
     dense_bytes32 = n * dim * 4

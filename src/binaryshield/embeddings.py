@@ -399,8 +399,11 @@ class RemoteHttpProvider:
                 raise EmbeddingTransportError(
                     "malformed response body: 'embedding' must be a list of numbers")
             try:
+                arr = np.asarray(values, dtype=np.float64)
+                if (np.abs(arr) > np.finfo(np.float32).max).any():
+                    raise ValueError("embedding value beyond the float32 range")
                 embeddings.append(DenseEmbedding(
-                    values=np.asarray(values, dtype=np.float64).astype(np.float32),
+                    values=arr.astype(np.float32),
                     model_id=self.model_id, dim=self.dim))
             except (ValueError, OverflowError) as exc:
                 raise EmbeddingTransportError(

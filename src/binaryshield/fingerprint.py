@@ -2,7 +2,9 @@
 
 Bit layout contract (shared with the wire format and the store): bit i of
 a fingerprint lives in byte ``i // 8`` at position ``i % 8``,
-least-significant-bit first; padding bits past ``dim - 1`` are zero.
+least-significant-bit first; padding bits past ``dim - 1`` are zero. Its
+home is the one packer, :func:`pack_last_axis`. ``quantize`` packs the sign
+bits, and ``randomize`` XORs the packed payload with the packed flips.
 
 Noise contract: ``randomize`` draws exactly ``dim`` float64 uniforms, in
 bit-index order, from numpy's Philox4x64-10 counter generator keyed by the
@@ -33,13 +35,17 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _uniforms(seed: int, n: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-    return rng.random(n)
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
 def packed_length(dim: int) -> int:
     return (dim + 7) // 8
+
+
+def pack_last_axis(bits: np.ndarray) -> np.ndarray:
+    """Pack a bool or 0/1 array along its last axis by the layout contract."""
+    return np.packbits(bits, axis=-1, bitorder="little")
 
 
 def pack_bits(bits: Sequence[int] | np.ndarray) -> bytes:
@@ -49,7 +55,7 @@ def pack_bits(bits: Sequence[int] | np.ndarray) -> bytes:
         raise ValueError("pack_bits expects a flat bit sequence")
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise ValueError("pack_bits expects only 0/1 values")
-    return np.packbits(arr, bitorder="little").tobytes()
+    return pack_last_axis(arr).tobytes()
 
 
 def unpack_bits(data: bytes, dim: int) -> np.ndarray:
@@ -115,7 +121,9 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if not 0 < self.alpha <= sys.float_info.max:
-            raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
+            got = ("an int beyond the float range" if isinstance(self.alpha, int)
+                   and abs(self.alpha) > sys.float_info.max else self.alpha)
+            raise ValueError(f"alpha must be a positive finite real, got {got}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
@@ -151,8 +159,8 @@ class BinaryFingerprint:
 
 def quantize(e: DenseEmbedding) -> BinaryFingerprint:
     """Sign quantization: bit i is 1 iff coordinate i is strictly positive."""
-    bits = (e.values > 0).astype(np.uint8)
-    return BinaryFingerprint(bits=pack_bits(bits), dim=e.dim)
+    return BinaryFingerprint(bits=pack_last_axis(e.values > 0).tobytes(),
+                             dim=e.dim)
 
 
 def keep_probability(alpha: Union[PrivacyBudget, float]) -> float:
@@ -181,10 +189,9 @@ def randomize(b: BinaryFingerprint, alpha: Union[PrivacyBudget, float],
     """Apply per-bit randomized response under the module's noise contract."""
     budget = PrivacyBudget.of(alpha)
     p = keep_probability(budget)
-    bits = unpack_bits(b.bits, b.dim)
-    u = _uniforms(seed, b.dim)
-    flipped = bits ^ (u >= p).astype(np.uint8)
-    return BinaryFingerprint(bits=pack_bits(flipped), dim=b.dim,
+    flips = pack_last_axis(_philox(seed).random(b.dim) >= p)
+    flipped = np.frombuffer(b.bits, dtype=np.uint8) ^ flips
+    return BinaryFingerprint(bits=flipped.tobytes(), dim=b.dim,
                              alpha=budget, noise_seed=int(seed))
 
 
@@ -200,6 +207,5 @@ def hamming(a: BinaryFingerprint, c: BinaryFingerprint) -> int:
 
 def random_fingerprint(dim: int, seed: int) -> BinaryFingerprint:
     """Uniform random fingerprint from the same Philox stream family."""
-    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-    bits = rng.integers(0, 2, size=dim, dtype=np.uint8)
-    return BinaryFingerprint(bits=pack_bits(bits), dim=dim)
+    bits = _philox(seed).integers(0, 2, size=dim, dtype=np.uint8)
+    return BinaryFingerprint(bits=pack_last_axis(bits).tobytes(), dim=dim)

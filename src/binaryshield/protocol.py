@@ -65,7 +65,7 @@ class CompositeFingerprint:
         except ValueError:
             raise FrameDecodeError("alpha", _FRAME_FIELDS["alpha"][1]) from None
         try:
-            bits = self.decoded_bits()
+            bits = base64.b64decode(self.bits_base64, validate=True)
         except ValueError as exc:       # binascii.Error, or not ASCII
             raise FrameDecodeError("bits_base64", f"invalid base64: {exc}") from None
         try:
@@ -78,9 +78,10 @@ class CompositeFingerprint:
             check_metadata(self.metadata)
         except ValueError as exc:
             raise FrameDecodeError("metadata", str(exc)) from None
+        object.__setattr__(self, "_bits", bits)
 
     def decoded_bits(self) -> bytes:
-        return base64.b64decode(self.bits_base64, validate=True)
+        return self._bits
 
 
 def compose(origin_service: str, fingerprint_id: str, release: BinaryFingerprint,

@@ -26,8 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import kernels
 from .atomicio import atomic_output
 from .errors import CorruptPayload, DimensionMismatch
-from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_padding,
-                          check_payload, packed_length, padding_mask)
+from .fingerprint import (PrivacyBudget, check_padding, check_payload,
+                          packed_length, padding_mask)
 
 SNAPSHOT_MAGIC = b"BSFP\x00\x01"
 _HEADER = struct.Struct("<II")      # dim, record count
@@ -35,8 +35,6 @@ _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 _CHUNK = 1 << 20                    # snapshot bytes read or written at a time
 _ROW_BLOCK = 4096                   # entries copied out of the matrix at a time
-
-QueryLike = bytes | BinaryFingerprint
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,9 @@ class MatchResult:
     metadata_overlap: int = 0
 
 
-def query_bytes(query: QueryLike, dim: int) -> bytes:
-    """The packed payload of a query, checked against the store's dim."""
-    if isinstance(query, BinaryFingerprint):
-        if query.dim != dim:
-            raise DimensionMismatch(query.dim, dim, "query")
-        return query.bits
-    data = bytes(query)
+def query_bytes(query: bytes, dim: int) -> bytes:
+    """A packed query buffer (never an int), checked against the store's dim."""
+    data = memoryview(query).tobytes()
     if len(data) != packed_length(dim):
         raise DimensionMismatch(len(data) * 8, dim, "query payload bits")
     check_padding(data, dim)
@@ -230,7 +224,7 @@ class FingerprintStore:
         with self._lock:
             return self._words[:, :len(self._ids)].T
 
-    def _distances(self, query: QueryLike) -> np.ndarray:
+    def _distances(self, query: bytes) -> np.ndarray:
         data = query_bytes(query, self.dim)
         words = self.word_matrix()
         return kernels.scan_distances(words, kernels.bytes_to_words(data))
@@ -244,7 +238,7 @@ class FingerprintStore:
                                 self._metadata[i], query_metadata))
                 for i in idx[order]]
 
-    def search_threshold(self, query: QueryLike, tau: int,
+    def search_threshold(self, query: bytes, tau: int,
                          query_metadata: dict[str, str] | None = None
                          ) -> list[MatchResult]:
         """Every entry within Hamming distance tau, ordered by
@@ -259,7 +253,7 @@ class FingerprintStore:
         idx = np.flatnonzero(distances <= tau)
         return self._ordered(idx, distances, query_metadata)
 
-    def search_topk(self, query: QueryLike, k: int,
+    def search_topk(self, query: bytes, k: int,
                     query_metadata: dict[str, str] | None = None) -> list[MatchResult]:
         """The k nearest entries, ties broken by insertion sequence.
 

@@ -420,6 +420,7 @@ class TestRemoteReplyParsing:
     ], ids=["data_int", "item_int", "no_embedding", "embedding_str", "not_utf8",
             "deep", "nested", "strings", "booleans", "float32_overflow", "int400",
             "index_1", "index_bool"])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_reply_is_a_transport_error(self, body):
         with pytest.raises(EmbeddingTransportError, match="malformed"):
             _reply_provider(body).embed(_redacted("x"))

@@ -24,10 +24,30 @@ def _embedding(values, model="test"):
                           model_id=model, dim=len(values))
 
 
+# whole bytes, a lone bit, and partial last bytes, where padding can go wrong
+DIMS = (1, 7, 8, 9, 75, 768)
+
+
+def _pack_per_bit(bits) -> bytes:
+    """Per-bit reference for the layout contract: bit i sets position
+    i % 8 of byte i // 8; nothing else is set."""
+    out = bytearray(packed_length(len(bits)))
+    for i, b in enumerate(bits):
+        out[i // 8] |= int(b) << (i % 8)
+    return bytes(out)
+
+
 class TestQuantize:
     def test_sign_rule_with_zero(self):
         fp = quantize(_embedding([0.3, -1.2, 0.0, 2.5]))
         assert unpack_bits(fp.bits, 4).tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sign_rule_per_bit(self, dim):
+        values = np.random.Generator(np.random.Philox(key=dim)).standard_normal(dim)
+        values[::5] = 0.0
+        expected = [1 if v > 0 else 0 for v in values]
+        assert quantize(_embedding(values)).bits == _pack_per_bit(expected)
 
     def test_all_negative_768_gives_zero_payload(self):
         fp = quantize(_embedding([-1.0] * 768))
@@ -115,18 +135,18 @@ class TestRandomize:
         for seed in (0, 1, 2**63, 2**64 - 1):
             assert randomize(fp, 50.0, seed).bits == fp.bits
 
-    def test_draw_order_contract(self):
+    @pytest.mark.parametrize("alpha", [0.8, 3.0])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_draw_order_contract(self, dim, alpha):
         # reimplement the documented contract bit by bit: Philox(seed),
         # d float64 draws in index order, keep iff u < p (strict)
-        fp = self._fp(dim=75)
-        alpha, seed = 0.8, 12345
+        fp = self._fp(dim=dim)
+        seed = 12345
         p = keep_probability(alpha)
-        u = np.random.Generator(np.random.Philox(key=seed)).random(75)
-        bits = unpack_bits(fp.bits, 75)
-        expected = np.array([b if u[i] < p else 1 - b
-                             for i, b in enumerate(bits)], dtype=np.uint8)
-        got = randomize(fp, alpha, seed)
-        assert unpack_bits(got.bits, 75).tolist() == expected.tolist()
+        u = np.random.Generator(np.random.Philox(key=seed)).random(dim)
+        bits = unpack_bits(fp.bits, dim)
+        expected = [b if u[i] < p else 1 - b for i, b in enumerate(bits)]
+        assert randomize(fp, alpha, seed).bits == _pack_per_bit(expected)
 
     def test_mean_distortion_tracks_theory(self):
         fp = self._fp()
@@ -227,8 +247,9 @@ class TestTypes:
         assert PrivacyBudget.of(PrivacyBudget(2.0)).alpha == 2.0
 
     def test_privacy_budget_rejects_int_too_large_for_a_float(self):
-        with pytest.raises(ValueError, match="positive finite"):
-            PrivacyBudget(10**400)
+        for too_large in (10**400, 10**5000):
+            with pytest.raises(ValueError, match="positive finite"):
+                PrivacyBudget(too_large)
         assert type(PrivacyBudget(2).alpha) is float
 
     def test_fingerprint_padding_validation(self):

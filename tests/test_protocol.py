@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binaryshield import protocol
 from binaryshield.bench import make_random_store
 from binaryshield.embeddings import PseudoEmbedder
 from binaryshield.errors import FrameDecodeError, SchemaError
@@ -343,6 +344,21 @@ class TestBroadcast:
         before = len(node.store)
         broadcast(_composite(seed=51), [node])
         assert len(node.store) == before
+
+    def test_frame_payload_decoded_once_for_every_peer(self, monkeypatch):
+        frame = encode_frame(_composite(seed=52))
+        entries = [("e0", random_fingerprint(768, 52).bits)]
+        peers = [_node(f"P{i}", entries=entries) for i in range(3)]
+        decodes, b64decode = [], base64.b64decode
+
+        def counting_b64decode(*args, **kwargs):
+            decodes.append(args)
+            return b64decode(*args, **kwargs)
+
+        monkeypatch.setattr(protocol.base64, "b64decode", counting_b64decode)
+        replies = broadcast(decode_frame(frame), peers)
+        assert [r.match_count for r in replies] == [1, 1, 1]
+        assert len(decodes) == 1
 
 
 @pytest.fixture(scope="module")

@@ -220,6 +220,13 @@ class TestSearchThreshold:
         with pytest.raises(DimensionMismatch):
             store.search_threshold(b"\x00" * 12, tau=3)
 
+    def test_query_is_packed_bytes_only(self):
+        store = make_random_store(5, 64, seed=12)
+        with pytest.raises(TypeError):
+            store.search_threshold(8, tau=64)
+        row = np.frombuffer(store.get("e0").bits, dtype=np.uint8)
+        assert store.search_topk(row, k=1)[0].id == "e0"
+
     def test_metadata_overlap_and_filter(self):
         store = FingerprintStore()
         store.insert(_fp("a", [1] * 8, metadata={"tool": "email", "region": "eu"}))
