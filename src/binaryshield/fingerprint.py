@@ -50,12 +50,13 @@ def pack_last_axis(bits: np.ndarray) -> np.ndarray:
 
 def pack_bits(bits: Sequence[int] | np.ndarray) -> bytes:
     """Pack a 0/1 sequence LSB-first into ``ceil(len/8)`` bytes."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("pack_bits expects a flat bit sequence")
+    # checked before any cast, which would truncate 1.9 and overflow on 256
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise ValueError("pack_bits expects only 0/1 values")
-    return pack_last_axis(arr).tobytes()
+    return pack_last_axis(arr == 1).tobytes()
 
 
 def unpack_bits(data: bytes, dim: int) -> np.ndarray:

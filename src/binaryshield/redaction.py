@@ -128,13 +128,167 @@ def _load_wordlist(name: str) -> list[str]:
     return [w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")]
 
 
-def _dictionary_alternation(words: list[str]) -> str:
-    # Longest-first so the regex prefers full multi-word entries. The
-    # lookahead on the entries' first characters rejects most positions
-    # before the engine tries every entry.
-    escaped = sorted((re.escape(w) for w in words), key=len, reverse=True)
-    firsts = "".join(re.escape(ch) for ch in sorted({w[0] for w in words}))
-    return f"(?:(?=[{firsts}])(?:" + "|".join(escaped) + "))"
+_MACROS = {"@FIRST_NAMES@": "first_names.txt", "@LAST_NAMES@": "last_names.txt",
+          "@LOCATIONS@": "locations.txt"}
+
+_LITERAL = _regex_parser.LITERAL
+_SUBPATTERN = _regex_parser.SUBPATTERN
+_BRANCH = _regex_parser.BRANCH
+_ASSERT = _regex_parser.ASSERT
+_REPEATS = (_regex_parser.MAX_REPEAT, _regex_parser.MIN_REPEAT)
+_ZERO_WIDTH = (_regex_parser.AT, _ASSERT, _regex_parser.ASSERT_NOT)
+_ONE_CHAR = (_LITERAL, _regex_parser.NOT_LITERAL, _regex_parser.IN, _regex_parser.ANY)
+
+
+def _group(state, items: list) -> tuple:
+    """A non-capturing group around ``items``, as one parse-tree item."""
+    return _SUBPATTERN, (None, 0, 0, _regex_parser.SubPattern(state, items))
+
+
+def _dictionary_tree(words: list[str], state) -> tuple:
+    """The parse tree of a dictionary macro: the entries longest-first, so
+    the regex prefers full multi-word entries, grouped by first character.
+
+    A group whose entries share one exact first character is written
+    ``A(?:lice|aron|...)``, which the leading-assertion rewrite turns into
+    one lookbehind per group. Groups are keyed by the casefolded first
+    character: under IGNORECASE only entries of one group can match at a
+    position, in the same order as in one flat alternation.
+    """
+    groups: dict[str, list[str]] = {}
+    for word in sorted(words, key=len, reverse=True):
+        groups.setdefault(word[0].casefold(), []).append(word)
+
+    def literals(text: str) -> list:
+        return [(_LITERAL, ord(ch)) for ch in text]
+
+    alternatives = []
+    for group in groups.values():
+        first = group[0][0]
+        if all(word[0] == first for word in group):
+            rests = [_regex_parser.SubPattern(state, literals(word[1:])) for word in group]
+            alternatives.append(literals(first)
+                                + [_group(state, [(_BRANCH, (None, rests))])])
+        else:
+            alternatives.extend(literals(word) for word in group)
+    return _group(state, [(_BRANCH, (None, [_regex_parser.SubPattern(state, alternative)
+                                            for alternative in alternatives]))])
+
+
+def _macro_trees() -> dict[str, tuple]:
+    """Each macro's dictionary tree, built from its bundled word list."""
+    state = _regex_parser.State()
+    return {macro: _dictionary_tree(_load_wordlist(name), state)
+            for macro, name in _MACROS.items()}
+
+
+def _splice(parsed, marks: dict[tuple, tuple]):
+    """A copy of ``parsed`` with each macro mark, a group around one literal
+    that is a key of ``marks``, replaced by its dictionary tree. Every
+    subpattern is new, so no width cached while the marks stood is kept,
+    and each capturing group's width is measured again for lookbehind
+    references."""
+    state = parsed.state
+
+    def copy(value):
+        if isinstance(value, _regex_parser.SubPattern):
+            return walk(value)
+        if isinstance(value, (tuple, list)):
+            return type(value)(copy(part) for part in value)
+        return value
+
+    def walk(subpattern):
+        items = []
+        for op, av in subpattern.data:
+            if op is _SUBPATTERN and len(av[3]) == 1 and av[3][0] in marks:
+                items.append(marks[av[3][0]])
+                continue
+            if op is _regex_parser.IN and any(item in marks for item in av):
+                raise re.error("a macro cannot stand inside a character set")
+            av = copy(av)
+            if op is _SUBPATTERN and av[0] is not None:
+                state.groupwidths[av[0]] = av[3].getwidth()
+            items.append((op, av))
+        return _regex_parser.SubPattern(state, items)
+
+    return walk(parsed)
+
+
+def _parse_pattern(pattern: str, trees: dict[str, tuple]):
+    """The parse tree of ``pattern`` with each macro's tree spliced in.
+
+    Parsing a macro's alternation as text would cost more than the rest of
+    the rule, so each macro is parsed as a mark: a private-use character the
+    pattern cannot spell, in a flag group (``(?s:...)``; the flag changes
+    nothing for a literal), which the parser neither unpacks, nor merges
+    into a character set, nor factors out of a branch. Neither the character
+    nor its hex code (which a ``\\u`` or ``\\U`` escape would need) is in the
+    text, and private-use characters have no ``\\N{...}`` name.
+    """
+    lowered = pattern.lower()
+    free = (code for code in range(0xE000, 0xF900)
+            if chr(code) not in pattern and f"{code:x}" not in lowered)
+    marked, marks = pattern, {}
+    for macro, tree in trees.items():
+        if macro in pattern:
+            code = next(free, None)
+            if code is None:
+                raise re.error("no private-use character is free to mark a macro")
+            marked = marked.replace(macro, f"(?s:{chr(code)})")
+            marks[_LITERAL, code] = tree
+    parsed = _regex_parser.parse(marked)
+    return _splice(parsed, marks) if marks else parsed
+
+
+def _peel(zero_width: list, items: list, state) -> list | None:
+    """``items`` preceded by the zero-width ``zero_width``, rewritten as
+    ``C (?<=Z C) rest``: its first character C, a one-character lookbehind
+    that evaluates Z at C's position, then the rest. None if the first
+    element is not a character, a repeat of at least one, a plain group or
+    a branch of such."""
+    if not items:
+        return None
+    (op, av), rest = items[0], items[1:]
+    if op in _ONE_CHAR:
+        behind = _regex_parser.SubPattern(state, [*zero_width, (op, av)])
+        return [(op, av), (_ASSERT, (-1, behind)), *rest]
+    if op in _REPEATS and av[0] >= 1:
+        # X{m,n} is X X{m-1,n-1}, tried in the same order
+        low, high, body = av
+        head = _peel(zero_width, list(body), state)
+        if head is None:
+            return None
+        if high != _regex_parser.MAXREPEAT:
+            high -= 1
+        return [*head, *([(op, (low - 1, high, body))] if high else []), *rest]
+    if op is _SUBPATTERN and av[:3] == (None, 0, 0):
+        head = _peel(zero_width, list(av[3]), state)
+        return None if head is None else [*head, *rest]
+    if op is _BRANCH:
+        # Z(A|B) is (ZA|ZB)
+        alternatives = [_peel(zero_width, list(alternative), state)
+                        for alternative in av[1]]
+        if None in alternatives:
+            return None
+        return [(_BRANCH, (None, [_regex_parser.SubPattern(state, alternative)
+                                  for alternative in alternatives])), *rest]
+    return None
+
+
+def _skip_ahead(parsed):
+    """``parsed`` with its leading zero-width items (``\\b``, ``^``,
+    lookarounds) moved behind its first character, so that the compiled
+    pattern starts with a character or set the engine can search for;
+    ``parsed`` itself when it has none or they cannot move. The lookbehind
+    steps back over that character and evaluates them at the same position,
+    so every match is the same."""
+    count = 0
+    while count < len(parsed) and parsed[count][0] in _ZERO_WIDTH:
+        count += 1
+    if not count:
+        return parsed
+    items = _peel(list(parsed[:count]), list(parsed[count:]), parsed.state)
+    return parsed if items is None else _regex_parser.SubPattern(parsed.state, items)
 
 
 _DIGIT = re.compile(r"\d")
@@ -155,20 +309,20 @@ def _required(parsed) -> tuple[frozenset[str], bool]:
         nonlocal needs_digit
         run: list[str] = []
         for op, arg in items:
-            if op == _regex_parser.LITERAL and not ignorecase:
+            if op is _LITERAL and not ignorecase:
                 run.append(chr(arg))
                 continue
             if run:
                 literals.add("".join(run))
                 run = []
-            if op == _regex_parser.IN:
+            if op is _regex_parser.IN:
                 needs_digit |= arg == [(_regex_parser.CATEGORY,
                                         _regex_parser.CATEGORY_DIGIT)]
-            elif op in (_regex_parser.MAX_REPEAT, _regex_parser.MIN_REPEAT):
+            elif op in _REPEATS:
                 if arg[0] >= 1:
                     walk(arg[2], ignorecase)
-            elif op == _regex_parser.SUBPATTERN:
-                _group, add_flags, del_flags, body = arg
+            elif op is _SUBPATTERN:
+                _number, add_flags, del_flags, body = arg
                 walk(body, bool((ignorecase or add_flags & re.IGNORECASE)
                                 and not del_flags & re.IGNORECASE))
         if run:
@@ -179,12 +333,19 @@ def _required(parsed) -> tuple[frozenset[str], bool]:
 
 
 def parse_rules(text: str, source: str = "<config>") -> tuple[int, list[Rule]]:
-    """Parse the tab-separated rule config; returns (version, rules)."""
-    macros = {
-        "@FIRST_NAMES@": _dictionary_alternation(_load_wordlist("first_names.txt")),
-        "@LAST_NAMES@": _dictionary_alternation(_load_wordlist("last_names.txt")),
-        "@LOCATIONS@": _dictionary_alternation(_load_wordlist("locations.txt")),
-    }
+    """Parse the tab-separated rule config; returns (version, rules).
+
+    Each pattern is parsed once. A dictionary macro is parsed as a private
+    mark and its tree, built from the word list, is spliced in where the
+    mark stands, which costs less than parsing the alternation's text. The
+    gate (:func:`_required`) is read from that tree. Its leading zero-width
+    items then move behind its first character (:func:`_skip_ahead`), so
+    that the engine searches for that character instead of trying a match
+    at every position, and the result is compiled. The matches are the same
+    as the pattern's as written, macros expanded; a pattern compiled from
+    its parse has ``.pattern`` None.
+    """
+    trees = _macro_trees()
     version = None
     rules: list[Rule] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,15 +368,10 @@ def parse_rules(text: str, source: str = "<config>") -> tuple[int, list[Rule]]:
         if validator_name.strip() not in VALIDATORS:
             raise SchemaError(f"unknown validator {validator_name!r}",
                               path=source, line=lineno)
-        for macro, alternation in macros.items():
-            pattern = pattern.replace(macro, alternation)
         try:
-            # One parse serves the gate and the compiled pattern: parsing a
-            # dictionary alternation costs about half of compiling it. A
-            # pattern compiled from its parse has ``.pattern`` None.
-            parsed = _regex_parser.parse(pattern)
+            parsed = _parse_pattern(pattern, trees)
             literals, needs_digit = _required(parsed)
-            compiled = _regex_compiler.compile(parsed)
+            compiled = _regex_compiler.compile(_skip_ahead(parsed))
         except re.error as exc:
             raise SchemaError(f"bad pattern: {exc}", path=source, line=lineno) from None
         rules.append(Rule(entity=entity, priority=int(priority),

@@ -229,6 +229,17 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_bits([0, 2, 1])
 
+    @pytest.mark.parametrize("bits", [[0.5, 1.9, 1, 0], [256, 0], [-1, 1]],
+                             ids=["fractions", "256", "-1"])
+    def test_values_checked_before_any_cast(self, bits):
+        # a uint8 cast would truncate the fractions to 0/1 and overflow on
+        # 256 and -1
+        with pytest.raises(ValueError, match="only 0/1 values"):
+            pack_bits(bits)
+
+    def test_bool_and_float_bits_pack_like_ints(self):
+        assert pack_bits([True, False, True]) == pack_bits([1.0, 0.0, 1.0]) == b"\x05"
+
 
 class TestTypes:
     def test_embedding_length_validation(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binaryshield.errors import SchemaError
-from binaryshield.redaction import (VALIDATORS, EntityType, Redactor, Rule,
-                                    _dictionary_alternation, _load_wordlist,
-                                    histogram_to_csv, parse_rules)
+from binaryshield.redaction import (_MACROS, VALIDATORS, EntityType, Redactor, Rule,
+                                    _dictionary_tree, _load_wordlist, _macro_trees,
+                                    _parse_pattern, _regex_compiler, _regex_parser,
+                                    _skip_ahead, histogram_to_csv, parse_rules)
 from binaryshield.synthetic import SyntheticGenerator
 
 PAPER_SENTENCE = "Transfer $5000 from John Smith's account 123456789"
@@ -362,21 +364,177 @@ class TestGatedEquivalence:
         assert_same_as_ungated(redactor, reference, text)
 
 
-class TestDictionaryLookahead:
-    @staticmethod
-    def plain_alternation(words):
-        escaped = sorted((re.escape(w) for w in words), key=len, reverse=True)
-        return "(?:" + "|".join(escaped) + ")"
+def plain_alternation(words: list[str]) -> str:
+    escaped = sorted((re.escape(w) for w in words), key=len, reverse=True)
+    return "(?:" + "|".join(escaped) + ")"
+
+
+def expanded(pattern: str) -> re.Pattern:
+    """``pattern`` compiled as written, each macro expanded as the text of
+    the plain longest-first alternation of its word list."""
+    for macro, name in _MACROS.items():
+        pattern = pattern.replace(macro, plain_alternation(_load_wordlist(name)))
+    return re.compile(pattern)
+
+
+def spans(pattern: re.Pattern, text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in pattern.finditer(text)]
+
+
+def assert_same_spans(pattern: str, texts) -> None:
+    compiled, reference = one_rule(pattern, entity="PERSON").pattern, expanded(pattern)
+    for text in texts:
+        assert spans(compiled, text) == spans(reference, text), (pattern, text)
+
+
+class TestDictionaryGroups:
+    """A macro compiled through ``parse_rules`` matches what the plain
+    alternation of its entries matches."""
 
     @pytest.mark.parametrize("name", ["first_names.txt", "last_names.txt",
                                       "locations.txt"])
     def test_match_set_equals_plain_alternation(self, name):
         words = _load_wordlist(name)
+        macro = {file: macro for macro, file in _MACROS.items()}[name]
         for wrap in ("{}", r"\b{}\b"):
-            plain = re.compile(wrap.format(self.plain_alternation(words)))
-            ahead = re.compile(wrap.format(_dictionary_alternation(words)))
+            plain = re.compile(wrap.format(plain_alternation(words)))
+            grouped = one_rule(wrap.format(macro), entity="PERSON").pattern
             for word in words:
                 for text in (word, word.lower(), f"x{word}"):
                     for suffix in ("", "s", " ", " City", "-9", "Smith"):
-                        assert ([m.span() for m in ahead.finditer(text + suffix)]
-                                == [m.span() for m in plain.finditer(text + suffix)])
+                        assert (spans(grouped, text + suffix)
+                                == spans(plain, text + suffix))
+
+    @pytest.mark.parametrize("flags", ["", "(?i)"])
+    def test_mixed_case_first_characters_keep_their_order(self, flags):
+        # "ali", "Alice" and "Al" fall in one casefolded group that is not
+        # pre-factored; under (?i) the longest-first order across them
+        # decides what "alix" matches
+        words = ["ali", "Alice", "Al", "bob", "Bo", "Carl", "Cy", "C"]
+        trees = {"@M@": _dictionary_tree(words, _regex_parser.State())}
+        for wrap in ("{}", r"\b{}\b", r"\b{}x"):
+            compiled = _regex_compiler.compile(
+                _skip_ahead(_parse_pattern(flags + wrap.format("@M@"), trees)))
+            reference = re.compile(flags + wrap.format(plain_alternation(words)))
+            for text in ("alice", "ALICE al Al AL", "Bob bo BOB", "Carlos carl Cyx Cx",
+                         "xAlice Alicex Alx alx alix ALIX", "c C cy"):
+                assert spans(compiled, text) == spans(reference, text), (wrap, text)
+
+    def test_macro_inside_a_set_or_lookbehind_rejected(self):
+        for pattern in ("[@FIRST_NAMES@]", "(?<=@LAST_NAMES@)x",
+                        r"(@LAST_NAMES@)(?<=\1)x"):
+            with pytest.raises(SchemaError, match="bad pattern"):
+                one_rule(pattern, entity="PERSON")
+
+    def test_rule_text_cannot_collide_with_a_macro_mark(self):
+        # private-use characters a mark could use, spelled as escapes inside
+        # the mark's own flag group, stay literals of the rule
+        texts = ["\ue000Smith", "\ue000\ue001Smith", "Smith", "\ue000\ue001"]
+        for pattern in ("(?s:\\ue000)@LAST_NAMES@",
+                        "\ue000(?s:\\U0000e001)@LAST_NAMES@"):
+            assert_same_spans(pattern, texts)
+        assert one_rule("\ue000(?s:\\U0000e001)@LAST_NAMES@",
+                        entity="PERSON").literals == {"\ue000", "\ue001"}
+
+    def test_macro_in_a_branch_stays_an_alternative(self):
+        texts = ["Smith x Smiths Smithzz Lee", "x", "Leezz Lees"]
+        for pattern in ("@LAST_NAMES@|x", "@LAST_NAMES@s|@LAST_NAMES@zz",
+                        "(?:@LAST_NAMES@)?x"):
+            assert_same_spans(pattern, texts)
+
+
+def skip_kind(pattern: str) -> str | None:
+    """How the compiled rule finds where a match may start: "set" when it
+    searches for a character set, "prefix" for a literal prefix, None when
+    it tries every position."""
+    code = _regex_compiler._code(_skip_ahead(_parse_pattern(pattern, _macro_trees())), 0)
+    assert code[0] == _regex_compiler.INFO
+    if code[2] & _regex_compiler.SRE_INFO_PREFIX:
+        return "prefix"
+    return "set" if code[2] & _regex_compiler.SRE_INFO_CHARSET else None
+
+
+def default_patterns() -> list[str]:
+    text = resources.files("binaryshield.data").joinpath("default.rules").read_text("utf-8")
+    return [line.split("\t")[3] for line in text.splitlines()
+            if line.count("\t") == 3 and not line.startswith("#")]
+
+
+# (entity, how the rule skips ahead) of each default rule, in file order.
+# PHONE's first rule starts with an optional group and tries every
+# position; AMOUNT starts with "$" as written.
+DEFAULT_SKIPS = [
+    ("PERSON", "set"), ("PERSON", "set"), ("EMAIL", "set"),
+    ("PHONE", None), ("PHONE", "set"), ("SSN", "set"),
+    ("CREDIT_CARD", "set"), ("CREDIT_CARD", "set"), ("IP_ADDRESS", "set"),
+    ("URL", "prefix"), ("DATE", "set"), ("DATE", "set"), ("DATE", "set"),
+    ("LOCATION", "set"), ("ORGANIZATION", "set"), ("AMOUNT", "prefix"),
+    ("ACCOUNT", "set"),
+]
+
+# One rule per shape: (pattern, how it skips ahead, whether the rewrite
+# leaves its tree as it was).
+CASES = [
+    (r"\b\d{3}\b", "set", False),
+    (r"(?<!\w)\d+", "set", False),
+    (r"(?m)^\d+", "set", False),
+    (r"(?=\d{3})\d+-\d", "set", False),
+    (r"\b\d{2,4}-", "set", False),
+    (r"\b\w{2,5}?x", "set", False),
+    (r"\b(?:\d{4}[- ]){3}\d{4}\b", "set", False),
+    (r"\b(?:Mr|Dr|Ms)\.?", "set", False),
+    (r"\b(?:\+1 )?\d+", None, True),
+    (r"\b(?i:mr)\.", None, True),
+    (r"\b(\d+)-", None, True),
+    (r"(?i)\b@LAST_NAMES@\b", None, False),
+]
+CASE_ATOMS = ATOMS + ["x", "Mr", "Dr", "ms", "MR", "+1 ", "1234", "smith", "SMITH",
+                      "Lee", "lee"]
+
+
+class TestSkipAhead:
+    """Leading zero-width items move behind the first character; every
+    rule matches what its text, macros expanded, matches."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return [expanded(pattern) for pattern in default_patterns()]
+
+    def test_default_skips_pinned(self, redactor):
+        assert [(rule.entity.name, skip_kind(pattern))
+                for rule, pattern in zip(redactor.rules, default_patterns())] == DEFAULT_SKIPS
+
+    def test_default_rules_on_synthetic_and_fuzz_prompts(self, redactor, references):
+        corpus, queries = SyntheticGenerator(13).make_hybrid_corpus(300, 20)
+        texts = [r.text for r in corpus + queries] + build_fuzz_prompts(300, seed=31)
+        for rule, reference in zip(redactor.rules, references):
+            for text in texts:
+                assert spans(rule.pattern, text) == spans(reference, text), (rule, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(ATOMS), max_size=40).map("".join))
+    def test_default_rules_on_random_texts(self, redactor, references, text):
+        for rule, reference in zip(redactor.rules, references):
+            assert spans(rule.pattern, text) == spans(reference, text), rule
+
+    @pytest.mark.parametrize("pattern, kind, unchanged", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_rule_shapes(self, pattern, kind, unchanged):
+        assert skip_kind(pattern) == kind
+        parsed = _parse_pattern(pattern, _macro_trees())
+        assert (_skip_ahead(parsed) is parsed) == unchanged
+        assert_same_spans(pattern, [
+            "", "123", "a123 456_789", "x12-3456 7890", "1234-5678-9012-3456",
+            "1234 5678 9012 3456x", "ab\n12\n 34", "Mr. Dr.x drMs. mr.", "+1 555",
+            "abxx abcx a_bx abbbbbx", "Smith SMITH smith xLee"])
+
+    @pytest.fixture(scope="class")
+    def shapes(self):
+        return [(one_rule(pattern, entity="PERSON").pattern, expanded(pattern))
+                for pattern, _kind, _unchanged in CASES]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(CASE_ATOMS), max_size=30).map("".join))
+    def test_rule_shapes_on_random_texts(self, shapes, text):
+        for compiled, reference in shapes:
+            assert spans(compiled, text) == spans(reference, text), reference
