@@ -4,8 +4,6 @@ packed store is measured against."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -14,7 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .fingerprint import pack_last_axis, packed_length
+from .evaluation import storage_report
+from .fingerprint import pack_last_axis
 from .store import FingerprintStore, StoredFingerprint, query_bytes
 
 
@@ -40,14 +39,6 @@ class ScanReport:
             "total_seconds": self.total_seconds,
             "mean_query_seconds": self.mean_query_seconds,
         }, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["query_index", "seconds"])
-        for i, s in enumerate(self.per_query_seconds):
-            writer.writerow([i, f"{s:.9f}"])
-        return buf.getvalue()
 
 
 def random_bit_rows(n: int, dim: int, seed: int) -> np.ndarray:
@@ -149,9 +140,6 @@ def efficiency_run(n: int, n_queries: int, dim: int = 768,
     packed = scan_benchmark(make_random_store(n, dim, seed), queries)
     dense = dense_scan_benchmark(random_unit_rows(n, dim, seed + 1),
                                  random_unit_rows(n_queries, dim, seed + 1001))
-    dense_bytes32 = n * dim * 4
-    dense_bytes64 = n * dim * 8
-    binary_bytes = n * packed_length(dim)
     return EfficiencyReport(packed=packed, dense=dense,
-                            storage_float32_ratio=dense_bytes32 / binary_bytes,
-                            storage_float64_ratio=dense_bytes64 / binary_bytes)
+                            storage_float32_ratio=storage_report(n, dim, 4).ratio,
+                            storage_float64_ratio=storage_report(n, dim, 8).ratio)

@@ -49,14 +49,10 @@ class ProviderConfig:
     endpoint_url: str | None = None
     api_key_env_var: str | None = None
     cache_path: str | Path | None = None
-    request_timeout: float = 30.0
-    max_batch: int = 100
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
         if self.kind is ProviderKind.REMOTE_HTTP and not self.endpoint_url:
             raise ValueError("REMOTE_HTTP provider requires endpoint_url")
         if self.kind is ProviderKind.FILE_CACHE and not self.cache_path:
@@ -319,13 +315,15 @@ class RemoteHttpProvider:
 
     Accepts only :class:`RedactedPrompt` inputs — raw strings are rejected
     at the boundary so pre-redaction text can never leave the process.
-    Requests are sent one chunk at a time (in-flight bound of 1); retries:
-    3 attempts with exponential backoff from 250 ms on transport errors
-    and 429/5xx statuses.
+    Requests are sent one chunk of ``MAX_BATCH`` texts at a time (in-flight
+    bound of 1); retries: 3 attempts with exponential backoff from 250 ms
+    on transport errors and 429/5xx statuses.
     """
 
     MAX_ATTEMPTS = 3
     BACKOFF_S = 0.25
+    MAX_BATCH = 100
+    REQUEST_TIMEOUT_S = 30.0
 
     def __init__(self, config: ProviderConfig, transport: Transport | None = None,
                  sleeper: Callable[[float], None] = time.sleep):
@@ -352,7 +350,7 @@ class RemoteHttpProvider:
             try:
                 status, payload = self._transport(
                     self.config.endpoint_url, body, self._headers(),
-                    self.config.request_timeout)
+                    self.REQUEST_TIMEOUT_S)
             except EmbeddingTransportError as exc:
                 last_error = EmbeddingTransportError(
                     str(exc), attempts=attempt, retryable=True)
@@ -425,7 +423,7 @@ class RemoteHttpProvider:
             raise ValueError("embed_batch requires at least one text")
         raws = [self._check_input(t) for t in texts]
         out: list[DenseEmbedding] = []
-        size = self.config.max_batch
+        size = self.MAX_BATCH
         for i in range(0, len(raws), size):
             chunk = raws[i:i + size]
             try:

@@ -21,12 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import PseudoEmbedder
-from .fingerprint import (BinaryFingerprint, expected_self_distortion, hamming,
-                          packed_length, quantize, randomize, random_fingerprint)
+from .fingerprint import (expected_self_distortion, flips, packed_length,
+                          quantize, random_fingerprint)
 from .records import CorpusRecord, PairRecord
 from .simhash import SIMHASH_BITS, simhash, simhash_distance
-from .store import FingerprintStore, StoredFingerprint
-from .synthetic import SyntheticGenerator
 from .textproc import derive_seed
 
 CSV_SCHEMA_VERSION = 1
@@ -99,6 +97,50 @@ class SimHashMethod:
 Method = BinaryShieldMethod | SimHashMethod
 
 
+# -- fingerprint rows: one packed uint8 row per record ---------------------------
+
+def _rows(payloads: Sequence[bytes], dim: int) -> np.ndarray:
+    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
+        len(payloads), packed_length(dim))
+
+
+def _fingerprint_rows(texts: Sequence[str], provider) -> np.ndarray:
+    """The noiseless fingerprint row of each text; each distinct text is
+    embedded once, in one ``embed_batch`` call."""
+    index: dict[str, int] = {}
+    order = [index.setdefault(t, len(index)) for t in texts]
+    embeddings = provider.embed_batch(list(index))
+    return _rows([quantize(e).bits for e in embeddings], provider.dim)[order]
+
+
+def _released(rows: np.ndarray, dim: int, alpha: float | None,
+              seeds: Sequence[int]) -> np.ndarray:
+    """Each row XOR its release's flip mask (row i under ``seeds[i]``);
+    alpha None is the zero-noise pipeline."""
+    if alpha is None:
+        return rows
+    return rows ^ np.vstack([flips(dim, alpha, s) for s in seeds])
+
+
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    """Set bits per row; of ``a ^ b``, the Hamming distance of each row pair."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
+
+def _pair_rows(pairs: Sequence[PairRecord], provider) -> np.ndarray:
+    """The noiseless rows of the pairs' a sides, then of their b sides."""
+    texts = [p.prompt_a for p in pairs] + [p.prompt_b for p in pairs]
+    return _fingerprint_rows(texts, provider)
+
+
+def _pair_distances(pairs: Sequence[PairRecord], rows: np.ndarray, dim: int,
+                    alpha: float | None, seed: int) -> np.ndarray:
+    """Distance between each pair's two releases under one noise seed."""
+    seeds = [derive_seed(seed, p.id, side) for side in "ab" for p in pairs]
+    a, b = _released(rows, dim, alpha, seeds).reshape(2, len(pairs), -1)
+    return _popcounts(a ^ b)
+
+
 def _distances_by_pair(pairs: Sequence[PairRecord], method: Method,
                        provider) -> tuple[np.ndarray, int]:
     """Per-pair fingerprint distance and the fingerprint dimension."""
@@ -107,35 +149,23 @@ def _distances_by_pair(pairs: Sequence[PairRecord], method: Method,
             (simhash_distance(simhash(p.prompt_a), simhash(p.prompt_b))
              for p in pairs), count=len(pairs), dtype=np.int64)
         return dist, SIMHASH_BITS
-    base: dict[str, BinaryFingerprint] = {}
-    for p in pairs:
-        for text in (p.prompt_a, p.prompt_b):
-            if text not in base:
-                base[text] = quantize(provider.embed(text))
-    out = np.empty(len(pairs), dtype=np.int64)
-    for i, p in enumerate(pairs):
-        fa, fb = base[p.prompt_a], base[p.prompt_b]
-        if method.alpha is not None:
-            fa = randomize(fa, method.alpha, derive_seed(method.seed, p.id, "a"))
-            fb = randomize(fb, method.alpha, derive_seed(method.seed, p.id, "b"))
-        out[i] = hamming(fa, fb)
-    return out, provider.dim
+    return (_pair_distances(pairs, _pair_rows(pairs, provider), provider.dim,
+                            method.alpha, method.seed), provider.dim)
 
 
-def _curve(distances: np.ndarray, labels: np.ndarray,
-           taus: Sequence[int]) -> list[PRPoint]:
-    dim = int(max(distances.max(initial=0), max(taus, default=0)))
-    attack = np.bincount(distances[labels == 1], minlength=dim + 1).cumsum()
-    benign = np.bincount(distances[labels == 0], minlength=dim + 1).cumsum()
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    points = []
-    for tau in taus:
-        tp = int(attack[min(tau, dim)])
-        fp = int(benign[min(tau, dim)])
-        points.append(prpoint(tau, ConfusionMatrix(
-            tp=tp, fp=fp, tn=n_neg - fp, fn=n_pos - tp)))
-    return points
+def _curve(distances: np.ndarray, labels: np.ndarray, dim: int) -> list[PRPoint]:
+    """One point per threshold tau in 0..dim; at tau = dim every pair is
+    predicted positive, so the last cumulative counts are the class sizes."""
+    tps, fps = (np.bincount(distances[labels == y], minlength=dim + 1).cumsum().tolist()
+                for y in (1, 0))
+    return [prpoint(tau, ConfusionMatrix(tp=tp, fp=fp, tn=fps[-1] - fp,
+                                         fn=tps[-1] - tp))
+            for tau, (tp, fp) in enumerate(zip(tps, fps))]
+
+
+def _optimum(points: list[PRPoint]) -> PRPoint:
+    """The point of highest F1, ties going to the smallest tau."""
+    return max(points, key=lambda pt: (pt.f1, -pt.tau))
 
 
 @dataclass
@@ -158,24 +188,27 @@ class PRSweepResult:
         return buf.getvalue()
 
 
-def pr_sweep(pairs: Sequence[PairRecord], method: Method,
-             tau_range: Sequence[int] | None = None,
-             provider=None) -> PRSweepResult:
-    """Sweep integer thresholds over pair distances; a pair is predicted an
-    attack pair iff distance <= tau. Optimal point maximizes F1, ties going
-    to the smallest tau."""
+def _labels(pairs: Sequence[PairRecord]) -> np.ndarray:
     if not pairs:
         raise ValueError("pr_sweep requires a non-empty pair set")
     labels = np.fromiter((p.label for p in pairs), count=len(pairs), dtype=np.int64)
     if labels.min() == labels.max():
         raise ValueError("pr_sweep requires both labels present; "
                          "metrics are undefined on a single class")
+    return labels
+
+
+def pr_sweep(pairs: Sequence[PairRecord], method: Method,
+             provider=None) -> PRSweepResult:
+    """Sweep every integer threshold 0..dim over pair distances; a pair is
+    predicted an attack pair iff distance <= tau. Optimal point maximizes
+    F1, ties going to the smallest tau."""
+    labels = _labels(pairs)
     provider = provider or PseudoEmbedder()
     distances, dim = _distances_by_pair(pairs, method, provider)
-    taus = list(tau_range) if tau_range is not None else list(range(dim + 1))
-    points = _curve(distances, labels, taus)
-    optimal = max(points, key=lambda pt: (pt.f1, -pt.tau))
-    return PRSweepResult(method=method.label(), points=points, optimal=optimal)
+    points = _curve(distances, labels, dim)
+    return PRSweepResult(method=method.label(), points=points,
+                         optimal=_optimum(points))
 
 
 @dataclass
@@ -211,16 +244,18 @@ def alpha_sweep(pairs: Sequence[PairRecord], alphas: Sequence[float],
                 seeds_per_alpha: int = 5, base_seed: int = 0,
                 provider=None) -> AlphaSweepResult:
     """Run pr_sweep per (alpha, seed) and average the optimal-point metrics
-    over seeds for each alpha."""
+    over seeds for each alpha. The pairs are fingerprinted once; each
+    (alpha, seed) draws only its own noise."""
+    labels = _labels(pairs)
     provider = provider or PseudoEmbedder()
+    pair_rows = _pair_rows(pairs, provider)
     rows = []
     for a_idx, alpha in enumerate(alphas):
         optima = []
         for s in range(seeds_per_alpha):
             seed = derive_seed(base_seed, a_idx, s)
-            result = pr_sweep(pairs, BinaryShieldMethod(alpha=alpha, seed=seed),
-                              provider=provider)
-            optima.append(result.optimal)
+            distances = _pair_distances(pairs, pair_rows, provider.dim, alpha, seed)
+            optima.append(_optimum(_curve(distances, labels, provider.dim)))
         cm = ConfusionMatrix(tp=sum(o.confusion.tp for o in optima),
                              fp=sum(o.confusion.fp for o in optima),
                              tn=sum(o.confusion.tn for o in optima),
@@ -278,35 +313,32 @@ class NoiseCalibration:
 
 
 def calibrate_noise(n_prompts: int, alphas: Sequence[float], dim: int = 768,
-                    seed: int = 0, provider=None,
-                    baseline_pairs: int = 1000) -> NoiseCalibration:
-    """Measure self-Hamming distortion against the (1-p)d theory curve.
+                    seed: int = 0, baseline_pairs: int = 1000) -> NoiseCalibration:
+    """Measure the noise layer's self-Hamming distortion against the (1-p)d
+    theory curve.
 
-    Fingerprints n_prompts synthetic prompts once, randomizes each once per
-    alpha, and reports mean/std against theory, plus the independent
-    random-pair baseline (expected mean d/2, std sqrt(d)/2).
+    A release's distance from its own fingerprint is the popcount of its
+    flip mask, whatever the fingerprint, so n_prompts releases of the
+    all-zero fingerprint per alpha stand in for embedded prompts. It reports
+    mean/std against theory, plus the independent random-pair baseline
+    (expected mean d/2, std sqrt(d)/2).
     """
     if n_prompts < 100:
         raise ValueError(f"n_prompts must be >= 100, got {n_prompts}")
-    provider = provider or PseudoEmbedder(dim=dim)
-    gen = SyntheticGenerator(seed)
-    bases = [quantize(provider.embed(gen.attack_prompt(salt=i)))
-             for i in range(n_prompts)]
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    zero = np.zeros((n_prompts, packed_length(dim)), dtype=np.uint8)
     rows = []
     for a_idx, alpha in enumerate(alphas):
-        dists = np.empty(n_prompts, dtype=np.int64)
-        for i, b in enumerate(bases):
-            noisy = randomize(b, alpha, derive_seed(seed, "cal", a_idx, i))
-            dists[i] = hamming(b, noisy)
+        seeds = [derive_seed(seed, "cal", a_idx, i) for i in range(n_prompts)]
+        dists = _popcounts(_released(zero, dim, alpha, seeds))
         rows.append(NoiseCalibrationRow(
             alpha=float(alpha), dim=dim, empirical_mean=float(dists.mean()),
             empirical_std=float(dists.std(ddof=1)),
             theoretical_mean=expected_self_distortion(alpha, dim), n=n_prompts))
-    base_dists = np.empty(baseline_pairs, dtype=np.int64)
-    for i in range(baseline_pairs):
-        a = random_fingerprint(dim, derive_seed(seed, "rnd", i, 0))
-        b = random_fingerprint(dim, derive_seed(seed, "rnd", i, 1))
-        base_dists[i] = hamming(a, b)
+    a, b = (_rows([random_fingerprint(dim, derive_seed(seed, "rnd", i, side)).bits
+                   for i in range(baseline_pairs)], dim) for side in (0, 1))
+    base_dists = _popcounts(a ^ b)
     return NoiseCalibration(dim=dim, rows=rows,
                             baseline_mean=float(base_dists.mean()),
                             baseline_std=float(base_dists.std(ddof=1)),
@@ -342,7 +374,8 @@ def accuracy_at_k(corpus: Sequence[CorpusRecord], queries: Sequence[CorpusRecord
                   method: str = "binaryshield", k_values: Sequence[int] = (1, 3, 5),
                   alpha: float | None = 2.0, seed: int = 0,
                   provider=None) -> AccuracyResult:
-    """Fraction of queries whose attack group appears in the top-k results.
+    """Fraction of queries whose attack group appears in the top-k results,
+    nearest first with ties in corpus order (``search_topk``'s order).
 
     method: "binaryshield" (privatized packed Hamming), "simhash" (64-bit),
     or "dense" (non-private float cosine baseline).
@@ -359,58 +392,34 @@ def accuracy_at_k(corpus: Sequence[CorpusRecord], queries: Sequence[CorpusRecord
     if k_values[0] < 1:
         raise ValueError("k values must be >= 1")
     provider = provider or PseudoEmbedder()
-    group_of = {r.id: r.attack_group for r in corpus}
-    max_k = k_values[-1]
-    hits = {k: 0 for k in k_values}
+
+    def rows(records, tag):
+        if method == "simhash":
+            return _rows([simhash(r.text).bits.to_bytes(8, "little")
+                          for r in records], SIMHASH_BITS)
+        seeds = [derive_seed(seed, tag, r.id) for r in records]
+        return _released(_fingerprint_rows([r.text for r in records], provider),
+                         provider.dim, alpha, seeds)
 
     if method == "dense":
         matrix = np.vstack([provider.embed(r.text).values for r in corpus])
         matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-        ids = [r.id for r in corpus]
-        for q in queries:
-            vec = provider.embed(q.text).values
-            vec = vec / np.linalg.norm(vec)
-            scores = matrix @ vec
-            top = np.argsort(-scores, kind="stable")[:max_k]
-            _tally(hits, k_values, [ids[i] for i in top], group_of, q.attack_group)
-        return _accuracy_result("dense", len(corpus), len(queries), hits, k_values)
-
-    store = FingerprintStore()
-    if method == "simhash":
-        for r in corpus:
-            fp = simhash(r.text)
-            store.insert(StoredFingerprint(
-                id=r.id, bits=fp.bits.to_bytes(8, "little"), dim=SIMHASH_BITS))
-        def query_bits(rec):
-            return simhash(rec.text).bits.to_bytes(8, "little")
-    elif method == "binaryshield":
-        def query_bits(rec, tag="query"):
-            fp = quantize(provider.embed(rec.text))
-            if alpha is None:
-                return fp.bits
-            return randomize(fp, alpha, derive_seed(seed, tag, rec.id)).bits
-        for r in corpus:
-            store.insert(StoredFingerprint(id=r.id, bits=query_bits(r, "corpus"),
-                                           dim=provider.dim, alpha=alpha))
+        vectors = (provider.embed(q.text).values for q in queries)
+        keys = (-(matrix @ (v / np.linalg.norm(v))) for v in vectors)
+    elif method in ("simhash", "binaryshield"):
+        matrix = rows(corpus, "corpus")
+        keys = (_popcounts(matrix ^ row) for row in rows(queries, "query"))
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    for q in queries:
-        results = store.search_topk(query_bits(q), max_k)
-        _tally(hits, k_values, [r.id for r in results], group_of, q.attack_group)
-    return _accuracy_result(method, len(corpus), len(queries), hits, k_values)
-
-
-def _tally(hits, k_values, result_ids, group_of, target_group):
-    for k in k_values:
-        if any(group_of.get(rid) == target_group for rid in result_ids[:k]):
-            hits[k] += 1
-
-
-def _accuracy_result(method, corpus_size, n_queries, hits, k_values):
-    rows = [(k, hits[k] / n_queries) for k in k_values]
-    return AccuracyResult(method=method, corpus_size=corpus_size,
-                          n_queries=n_queries, rows=rows)
+    groups = [r.attack_group for r in corpus]
+    hits = dict.fromkeys(k_values, 0)
+    for q, key in zip(queries, keys):
+        top = [groups[i] for i in np.argsort(key, kind="stable")[:k_values[-1]]]
+        for k in k_values:
+            hits[k] += q.attack_group in top[:k]
+    return AccuracyResult(method=method, corpus_size=len(corpus),
+                          n_queries=len(queries),
+                          rows=[(k, hits[k] / len(queries)) for k in k_values])
 
 
 # -- storage accounting ------------------------------------------------------------

@@ -6,10 +6,11 @@ least-significant-bit first; padding bits past ``dim - 1`` are zero. Its
 home is the one packer, :func:`pack_last_axis`. ``quantize`` packs the sign
 bits, and ``randomize`` XORs the packed payload with the packed flips.
 
-Noise contract: ``randomize`` draws exactly ``dim`` float64 uniforms, in
-bit-index order, from numpy's Philox4x64-10 counter generator keyed by the
-64-bit seed (``np.random.Generator(np.random.Philox(key=seed)).random(dim)``).
-Bit i is kept when ``u_i < p`` (strict) and flipped otherwise. Identical
+Noise contract: :func:`flips`, the one noise draw of a release, takes
+exactly ``dim`` float64 uniforms, in bit-index order, from numpy's
+Philox4x64-10 counter generator keyed by the 64-bit seed
+(``np.random.Generator(np.random.Philox(key=seed)).random(dim)``). Bit i
+is kept when ``u_i < p`` (strict) and flipped otherwise. Identical
 (bits, alpha, seed) triples therefore reproduce identical output anywhere.
 """
 
@@ -185,13 +186,16 @@ def expected_self_distortion(alpha: Union[PrivacyBudget, float], dim: int) -> fl
     return flip_probability(alpha) * dim
 
 
+def flips(dim: int, alpha: Union[PrivacyBudget, float], seed: int) -> np.ndarray:
+    """The packed flip mask of one release: bit i is set when ``u_i >= p``."""
+    return pack_last_axis(_philox(seed).random(dim) >= keep_probability(alpha))
+
+
 def randomize(b: BinaryFingerprint, alpha: Union[PrivacyBudget, float],
               seed: int) -> BinaryFingerprint:
-    """Apply per-bit randomized response under the module's noise contract."""
+    """Apply per-bit randomized response: the payload XOR its flip mask."""
     budget = PrivacyBudget.of(alpha)
-    p = keep_probability(budget)
-    flips = pack_last_axis(_philox(seed).random(b.dim) >= p)
-    flipped = np.frombuffer(b.bits, dtype=np.uint8) ^ flips
+    flipped = np.frombuffer(b.bits, dtype=np.uint8) ^ flips(b.dim, budget, seed)
     return BinaryFingerprint(bits=flipped.tobytes(), dim=b.dim,
                              alpha=budget, noise_seed=int(seed))
 

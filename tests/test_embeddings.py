@@ -296,12 +296,11 @@ class CountingTransport:
         return 200, _ok_body([[0.5] * self.dim] * len(payload["input"]))
 
 
-def _remote(dim=8, max_batch=100, transport=None, sleeps=None,
-            api_key_env=None):
+def _remote(dim=8, transport=None, sleeps=None, api_key_env=None):
     config = ProviderConfig(kind=ProviderKind.REMOTE_HTTP, dim=dim,
                             model_id="remote-model",
                             endpoint_url="https://embed.example/v1",
-                            api_key_env_var=api_key_env, max_batch=max_batch)
+                            api_key_env_var=api_key_env)
     recorded = sleeps if sleeps is not None else []
     return RemoteHttpProvider(config, transport=transport,
                               sleeper=recorded.append), recorded
@@ -380,9 +379,10 @@ class TestRemoteProvider:
                 transport.calls.append({"n": n})
                 return 200, _ok_body([[0.5] * 8] * n)
             return 404, b"gone"
-        provider, _ = _remote(max_batch=10, transport=failing)
+        provider, _ = _remote(transport=failing)
+        n = RemoteHttpProvider.MAX_BATCH + 10
         with pytest.raises(EmbeddingTransportError, match="chunk 1"):
-            provider.embed_batch([_redacted(f"t{i}") for i in range(20)])
+            provider.embed_batch([_redacted(f"t{i}") for i in range(n)])
 
 
 def _reply_provider(body: bytes):

@@ -1,16 +1,21 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from binaryshield.embeddings import PseudoEmbedder
 from binaryshield.evaluation import (AlphaSweepResult, BinaryShieldMethod,
                                      ConfusionMatrix, SimHashMethod,
-                                     accuracy_at_k, alpha_sweep, calibrate_noise,
-                                     pr_sweep, prpoint, spearman_rank_correlation,
-                                     storage_report)
+                                     _distances_by_pair, _fingerprint_rows,
+                                     _released, accuracy_at_k, alpha_sweep,
+                                     calibrate_noise, pr_sweep, prpoint,
+                                     spearman_rank_correlation, storage_report)
+from binaryshield.fingerprint import hamming, quantize, randomize
 from binaryshield.records import CorpusRecord, PairRecord, VariantType
 from binaryshield.synthetic import SyntheticGenerator
+from binaryshield.textproc import derive_seed
 
 # The dataset loaders' tests live in test_records.py beside the other
 # readers'; this import also collects them here.
@@ -83,8 +88,6 @@ class TestPRSweep:
 
     def test_mirrored_confusion_metamorphic(self, pseudo768):
         # flipping labels and the predicate direction swaps tp<->tn, fp<->fn
-        from binaryshield.evaluation import _distances_by_pair
-
         pairs = SyntheticGenerator(6).make_pairs(15, 15, rate=0.7)
         distances, dim = _distances_by_pair(
             pairs, BinaryShieldMethod(alpha=2.0, seed=4), pseudo768)
@@ -153,6 +156,61 @@ class TestAlphaSweep:
         assert lines[0] == "# binaryshield alpha-sweep schema v1"
         assert lines[1].startswith("alpha,mean_f1,")
         assert isinstance(result, AlphaSweepResult)
+
+
+class _CountingEmbedder(PseudoEmbedder):
+    def __init__(self):
+        super().__init__(dim=768)
+        self.calls: Counter = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return super().embed(text)
+
+
+class TestFingerprintRows:
+    """The experiments' row form against the one-record release path."""
+
+    @pytest.mark.parametrize("alpha", [None, 1.5])
+    @pytest.mark.parametrize("dim", [75, 768])
+    def test_rows_equal_per_record_releases(self, dim, alpha):
+        provider = PseudoEmbedder(dim=dim)
+        texts = [p.prompt_a for p in SyntheticGenerator(12).make_pairs(15, 15)]
+        texts += texts[:5]  # repeated texts get their own noise
+        seeds = [derive_seed(7, "row", i) for i in range(len(texts))]
+        rows = _released(_fingerprint_rows(texts, provider), dim, alpha, seeds)
+        assert rows.shape == (len(texts), (dim + 7) // 8)
+        for row, text, seed in zip(rows, texts, seeds):
+            fp = quantize(provider.embed(text))
+            expected = fp if alpha is None else randomize(fp, alpha, seed)
+            assert row.tobytes() == expected.bits
+
+    @pytest.mark.parametrize("alpha", [None, 1.5])
+    @pytest.mark.parametrize("dim", [75, 768])
+    def test_row_distances_equal_per_pair_hamming(self, dim, alpha):
+        provider = PseudoEmbedder(dim=dim)
+        pairs = SyntheticGenerator(13).make_pairs(15, 15, rate=0.7)
+        distances, got_dim = _distances_by_pair(
+            pairs, BinaryShieldMethod(alpha=alpha, seed=7), provider)
+
+        def release(text, pair_id, side):
+            fp = quantize(provider.embed(text))
+            return fp if alpha is None else randomize(
+                fp, alpha, derive_seed(7, pair_id, side))
+        expected = [hamming(release(p.prompt_a, p.id, "a"),
+                            release(p.prompt_b, p.id, "b")) for p in pairs]
+        assert got_dim == dim
+        assert distances.dtype == np.int64
+        assert distances.tolist() == expected
+
+    def test_sweeps_embed_each_distinct_text_once(self, pairs):
+        once = Counter({t: 1 for p in pairs for t in (p.prompt_a, p.prompt_b)})
+        provider = _CountingEmbedder()
+        alpha_sweep(pairs, [0.5, 1.0, 2.0], seeds_per_alpha=3, provider=provider)
+        assert provider.calls == once
+        provider = _CountingEmbedder()
+        pr_sweep(pairs, BinaryShieldMethod(alpha=1.0), provider=provider)
+        assert provider.calls == once
 
 
 class TestCalibrateNoise:

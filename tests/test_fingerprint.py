@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from binaryshield.errors import CorruptPayload, DimensionMismatch
 from binaryshield.fingerprint import (BinaryFingerprint, DenseEmbedding,
                                       PrivacyBudget, expected_self_distortion,
-                                      flip_probability, hamming,
+                                      flip_probability, flips, hamming,
                                       keep_probability, pack_bits, packed_length,
                                       quantize, randomize, random_fingerprint,
                                       unpack_bits)
@@ -166,6 +166,17 @@ class TestRandomize:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="uint64"):
             randomize(self._fp(), 1.0, -1)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_release_is_payload_xor_flips(self, dim):
+        fp = self._fp(dim=dim)
+        mask = flips(dim, 0.8, 99)
+        assert mask.dtype == np.uint8 and mask.size == packed_length(dim)
+        assert mask.tobytes() == _pack_per_bit(
+            np.random.Generator(np.random.Philox(key=99)).random(dim)
+            >= keep_probability(0.8))
+        expected = np.frombuffer(fp.bits, dtype=np.uint8) ^ mask
+        assert randomize(fp, 0.8, 99).bits == expected.tobytes()
 
 
 class TestHamming:

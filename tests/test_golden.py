@@ -34,6 +34,8 @@ GOLDEN = {
         "1af66cd23c49dea176f08ccbc9a418a36913d741f3b54145cba79ecfac7823d6",
     "pr_sweep":
         "51633b14449ed93352373150ea8bed7bab73b43ea6cadfc16c9d4b582f86d4a8",
+    "alpha_sweep":
+        "217a69ba309477c82e92a189a16154a8b8e3a5d9073e71cec5fdbf8462a73811",
     "calibrate_noise":
         "63d5dc8346291d12705794477402d219caf69ee720f816df5171715eabc569d5",
     "accuracy_at_k":
@@ -94,6 +96,14 @@ def test_pr_sweep_csv(tmp_path):
     _run("gen", "pairs", "--attack", 30, "--benign", 30, "--seed", 3, "--out", pairs)
     _run("eval", "pr-sweep", "--pairs", pairs, "--seed", 3, "--out", out)
     assert _sha(out) == GOLDEN["pr_sweep"]
+
+
+def test_alpha_sweep_csv(tmp_path):
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "alpha.csv"
+    _run("gen", "pairs", "--attack", 30, "--benign", 30, "--seed", 3, "--out", pairs)
+    _run("eval", "alpha-sweep", "--pairs", pairs, "--alphas", "0.5,1.5,3.0",
+         "--seeds-per-alpha", 2, "--seed", 3, "--out", out)
+    assert _sha(out) == GOLDEN["alpha_sweep"]
 
 
 def test_calibrate_noise_csv(tmp_path):

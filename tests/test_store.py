@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binaryshield.bench import (dense_scan_benchmark, make_random_store,
-                                random_bit_rows, random_unit_rows, scan_benchmark)
+from binaryshield.bench import (dense_scan_benchmark, efficiency_run,
+                                make_random_store, random_bit_rows,
+                                random_unit_rows, scan_benchmark)
 from binaryshield.errors import CorruptPayload, DimensionMismatch
 from binaryshield.fingerprint import pack_bits, unpack_bits
 from binaryshield import kernels
@@ -510,7 +511,12 @@ class TestScanBenchmark:
         assert len(report.per_query_seconds) == 5
         assert report.total_seconds > 0
         assert "corpus_size" in report.to_json()
-        assert report.to_csv().startswith("query_index,seconds")
+
+    def test_efficiency_storage_ratios_are_the_storage_report(self):
+        # dim 75 packs into 10 bytes: 300 / 10 and 600 / 10
+        report = efficiency_run(40, 2, dim=75, seed=3)
+        assert report.storage_float32_ratio == 30.0
+        assert report.storage_float64_ratio == 60.0
 
     def test_dense_mode_runs(self):
         matrix = random_unit_rows(50, 64, seed=27)
