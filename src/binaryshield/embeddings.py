@@ -245,28 +245,28 @@ def build_cache(texts: Iterable[TextLike], source_provider,
     """Materialize embeddings for every distinct text into a cache file.
 
     Idempotent: re-running over the same inputs appends nothing and leaves
-    the file byte-identical. Returns {"written": n, "skipped": m}.
+    the file byte-identical. Every text is embedded before the file is
+    created or changed. Returns {"written": n, "skipped": m}.
     """
     dim = dim or source_provider.dim
     cache_path = Path(cache_path)
-    if not cache_path.exists():
-        EmbeddingCacheFile.create(cache_path, dim)
-    cache = EmbeddingCacheFile(cache_path)
-    if cache.dim != dim:
+    cache = EmbeddingCacheFile(cache_path) if cache_path.exists() else None
+    if cache is not None and cache.dim != dim:
         raise CorruptPayload(
             f"{cache_path}: cache dim {cache.dim} does not match provider dim {dim}")
-    known = cache.keys()
+    seen = cache.keys() if cache is not None else set()
     pending: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
     skipped = 0
     for text in texts:
         key = content_key(text)
-        if key in known or key in seen:
+        if key in seen:
             skipped += 1
             continue
         seen.add(key)
         emb = source_provider.embed(text)
         pending.append((key, emb.values.astype("<f4")))
+    if cache is None:
+        cache = EmbeddingCacheFile.create(cache_path, dim)
     written = cache.append(pending) if pending else 0
     return {"written": written, "skipped": skipped}
 

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import CorruptPayload, DimensionMismatch
 
-DEFAULT_DIM = 768
-
 _MAX_SEED = 2**64
 
 

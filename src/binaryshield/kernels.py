@@ -4,14 +4,15 @@ Fingerprints are stored as little-endian-bit-packed bytes, zero-padded up
 to whole 64-bit words; distance is XOR + population count over those
 words. The scan over a corpus is the package's hot loop: numpy's
 ``np.bitwise_count`` over a column-major word matrix, one word column at
-a time. A corpus of at least ``_SPLIT_ROWS`` rows is split into two
-contiguous row halves when the process may run on two or more CPUs: the
-calling thread scans the first half while one persistent helper thread,
-started on the first such scan, scans the second into the same
-accumulator. numpy's ufuncs release the interpreter lock, so both halves
-run at once. The calling thread then scans the second half as well until
-the helper is done, so a helper that is late or has lost its CPU costs
-no more than the one-thread scan. There is no setting for this.
+a time, added into a uint16 accumulator (int64 past 1,023 words) that is
+returned as the distances. A corpus of at least ``_SPLIT_ROWS`` rows is
+split into two contiguous row halves when the process may run on two or
+more CPUs: the calling thread scans the first half while one persistent
+helper thread, started on the first such scan, scans the second into the
+same accumulator. numpy's ufuncs release the interpreter lock, so both
+halves run at once. The calling thread then scans the second half as well
+until the helper is done, so a helper that is late or has lost its CPU
+costs no more than the one-thread scan. There is no setting for this.
 """
 
 from __future__ import annotations
@@ -80,20 +81,19 @@ def fill_words(out: np.ndarray, rows: np.ndarray) -> None:
 # -- scan ---------------------------------------------------------------------
 
 def scan_distances(corpus_words: np.ndarray, query_words: np.ndarray) -> np.ndarray:
-    """Distances from one query row to every corpus row, as int64 (n,)."""
+    """Distances from one query row to every corpus row: (n,) uint16, exact
+    while a row's 64 * w bits fit (w <= 1,023, dim <= 65,472), else int64."""
     if corpus_words.ndim != 2 or query_words.ndim != 1:
         raise ValueError("expected corpus (n, w) and query (w,)")
     n, w = corpus_words.shape
     if w != query_words.shape[0]:
         raise ValueError(
             f"word width mismatch: corpus {w} vs query {query_words.shape[0]}")
-    # A row holds at most 64 * w set bits; a uint16 accumulator moves a
-    # quarter of int64's bytes and is exact while that sum fits.
     acc = np.zeros(n, dtype=np.uint16 if 64 * w <= 0xFFFF else np.int64)
     if n >= _SPLIT_ROWS and _usable_cpus() >= 2:
         return _split_scan(corpus_words, query_words, acc)
     _scan_into(corpus_words, query_words, acc)
-    return acc.astype(np.int64, copy=False)
+    return acc
 
 
 def _scan_into(corpus_words: np.ndarray, query_words: np.ndarray,
@@ -144,13 +144,10 @@ def _split_scan(corpus_words: np.ndarray, query_words: np.ndarray,
     mine = np.zeros_like(rest_acc)
     if _scan_into(rest, query_words, mine, stop=first) and first.acquire(blocking=False):
         # The helper may still be writing rest_acc until its next column.
-        out = np.empty(acc.size, dtype=np.int64)
-        out[:half] = acc[:half]
-        out[half:] = mine
-        return out
+        return np.concatenate((acc[:half], mine))
     if failed:                      # the helper took ``first`` after this
         raise failed[0]
-    return acc.astype(np.int64, copy=False)
+    return acc
 
 
 def _helper():

@@ -359,9 +359,10 @@ def simulate_campaign(scenario: dict | str | Path,
         tau = _field(svc, "tau", (int,), where, "service entry")
         if service_id in nodes:
             raise SchemaError(f"duplicate service_id {service_id!r}", path=where)
-        if not 0 <= tau <= dim:
-            raise SchemaError(f"service {service_id!r}: tau {tau} outside "
-                              f"[0, {dim}]", path=where)
+        try:
+            node = ServiceNode(service_id, FingerprintStore(dim=dim), tau)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=where) from None
         corpus_path = Path(corpus)
         if base_path and not corpus_path.is_absolute():
             corpus_path = base_path.parent / corpus_path
@@ -371,8 +372,6 @@ def simulate_campaign(scenario: dict | str | Path,
             raise
         except ValueError as exc:  # NUL in the path
             raise SchemaError(f"corpus {corpus!r}: {exc}", path=where) from None
-        node = ServiceNode(service_id=service_id,
-                           store=FingerprintStore(dim=dim), tau=tau)
         for rec in records:
             meta = {"attack_group": rec.attack_group} if rec.attack_group else {}
             ingest_detection(node, rec.text, meta, config, fingerprint_id=rec.id)

@@ -193,6 +193,17 @@ class FingerprintStore:
                 raise DimensionMismatch(fp.dim, self.dim, f"entry {fp.id}")
             if fp.id in self._id_index:
                 raise ValueError(f"duplicate fingerprint id {fp.id!r}")
+            # One shared dict per metadata content, in its key order.
+            key = tuple(fp.metadata.items())
+            metadata = self._shared_metadata.get(key)
+            try:    # snapshots store UTF-8, which no lone surrogate has
+                fp.id.encode("utf-8")
+                if metadata is None:        # content seen before was checked then
+                    for text in (*fp.metadata.keys(), *fp.metadata.values()):
+                        text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"entry {fp.id!r}: {exc.object!r} "
+                                 "is not UTF-8 encodable") from None
             self.dim = fp.dim
             seq = len(self._ids)
             if seq == self._words.shape[1]:         # full: double it
@@ -203,17 +214,11 @@ class FingerprintStore:
             self._words[:, seq] = row
             self._ids.append(fp.id)
             self._alphas.append(alpha)
-            self._metadata.append(self._share(fp.metadata))
+            if metadata is None:
+                metadata = self._shared_metadata[key] = dict(fp.metadata)
+            self._metadata.append(metadata)
             self._id_index[fp.id] = seq
         return seq
-
-    def _share(self, metadata: dict[str, str]) -> dict[str, str]:
-        """The store's one dict with this content, in this key order."""
-        key = tuple(metadata.items())
-        shared = self._shared_metadata.get(key)
-        if shared is None:
-            shared = self._shared_metadata[key] = dict(metadata)
-        return shared
 
     # -- search ----------------------------------------------------------------
 

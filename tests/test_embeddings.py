@@ -244,6 +244,19 @@ class TestBuildCache:
         assert stats["written"] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest1
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_text_leaves_no_file_and_changes_none(self, tmp_path,
+                                                         pseudo768, existing):
+        path = tmp_path / "c.bsemb"
+        if existing:
+            build_cache(["alpha"], pseudo768, path)
+        before = path.read_bytes() if existing else None
+        with pytest.raises(ValueError, match="empty text"):
+            build_cache(["beta", "  ", "gamma"], pseudo768, path)
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["c.bsemb"] if existing else [])
+
     def test_dim_mismatch_on_open(self, tmp_path, pseudo768):
         path = tmp_path / "c.bsemb"
         EmbeddingCacheFile.create(path, dim=16)

@@ -133,8 +133,10 @@ def two_cpus(monkeypatch):
 
 
 def _reference(corpus: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """One thread, one pass: the distances the split scan must give."""
-    return np.bitwise_count(corpus ^ query).sum(axis=1, dtype=np.int64)
+    """One thread, one pass: the distances the split scan must give, in
+    the dtype it must give them: uint16 up to 1,023 words, int64 beyond."""
+    distances = np.bitwise_count(corpus ^ query).sum(axis=1, dtype=np.int64)
+    return distances.astype(np.uint16) if corpus.shape[1] <= 1023 else distances
 
 
 def _random_words(n: int, w: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +154,7 @@ def _helper_running() -> bool:
 def test_split_scan_equals_one_thread(two_cpus, n, w):
     corpus, query = _random_words(n, w, seed=n + w)
     got = kernels.scan_distances(corpus, query)
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint16
     assert got.tobytes() == _reference(corpus, query).tobytes()
     if n >= T:
         assert _helper_running()
@@ -167,6 +169,18 @@ def test_split_scan_int64_accumulator(two_cpus, monkeypatch, n):
     got = kernels.scan_distances(corpus, query)
     assert got.tobytes() == _reference(corpus, query).tobytes()
     assert n == 0 or got[0] == 64 * w
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("w, dtype", [(1023, np.uint16), (1024, np.int64)])
+def test_accumulator_dtype_boundary(two_cpus, monkeypatch, split, w, dtype):
+    # 1,023 words is the widest corpus whose 64 * w bits fit in uint16.
+    monkeypatch.setattr(kernels, "_SPLIT_ROWS", 2 if split else 1 << 30)
+    corpus = np.zeros((3, w), dtype=np.uint64, order="F")
+    corpus[1] = ~np.uint64(0)       # all ones: distance 64 * w
+    got = kernels.scan_distances(corpus, np.zeros(w, dtype=np.uint64))
+    assert got.dtype == dtype
+    assert got.tolist() == [0, 64 * w, 0]       # 65,472 at 1,023 words
 
 
 def test_split_scan_of_a_store_view(two_cpus, monkeypatch):
@@ -228,15 +242,19 @@ def test_stalled_helper_leaves_the_caller_scanning(two_cpus, monkeypatch):
     caller = threading.get_ident()
     caller_done, helper_done = threading.Event(), threading.Event()
     helper_finished = []
+    own_stops = []      # the warm-up scan's job may still be queued; skip it
     scan_into = kernels._scan_into
 
     def stalled_off_caller(corpus_words, query_words, acc, stop=None):
         if threading.get_ident() == caller:
+            own_stops.append(stop)
             return scan_into(corpus_words, query_words, acc, stop)
         caller_done.wait(timeout=30)
-        helper_finished.append(scan_into(corpus_words, query_words, acc, stop))
-        helper_done.set()
-        return helper_finished[-1]
+        finished = scan_into(corpus_words, query_words, acc, stop)
+        if any(stop is own for own in own_stops):
+            helper_finished.append(finished)
+            helper_done.set()
+        return finished
 
     monkeypatch.setattr(kernels, "_scan_into", stalled_off_caller)
     got = kernels.scan_distances(corpus, query)

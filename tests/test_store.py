@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,6 +122,11 @@ REJECTED = {
                          ValueError, "metadata"),
     "list metadata": (lambda: _entry75("x", 98, metadata=[("k", "v")]),
                       ValueError, "metadata"),
+    "surrogate id": (lambda: _entry75("x\ud800", 99), ValueError, "UTF-8"),
+    "surrogate metadata key": (lambda: _entry75("x", 99, metadata={"\udfff": "v"}),
+                               ValueError, "entry 'x': .* UTF-8"),
+    "surrogate metadata value": (lambda: _entry75("x", 99, metadata={"k": "\ud800"}),
+                                 ValueError, "entry 'x': .* UTF-8"),
 }
 
 
@@ -372,21 +378,42 @@ class TestSearchTopK:
 
     def test_inserts_racing_split_searches(self, monkeypatch):
         # The same race with the store above the split row count, so the
-        # four readers' scans share the one helper thread.
+        # four readers' scans share the one helper thread. The test decides
+        # each split scan's race, alternately: one copy of the second half
+        # waits until the other has taken ``stop``, so both the helper's
+        # copy and the caller's are kept in some searches.
         monkeypatch.setattr(kernels, "_SPLIT_ROWS", 16)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         scan_into = kernels._scan_into
-        helper_finished = []
+        helper_finished, helper_won, caller_won = [], [], []
+        helper_first: dict[object, bool] = {}   # stop lock -> who must win
+        deciding_lock = threading.Lock()
 
-        def counting(corpus_words, query_words, acc, stop=None):
+        def wait_taken(stop) -> bool:
+            deadline = time.monotonic() + 30
+            while not stop.locked():
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(1e-4)
+            return True
+
+        def deciding(corpus_words, query_words, acc, stop=None):
+            if stop is None:
+                return scan_into(corpus_words, query_words, acc, stop)
+            with deciding_lock:
+                helper_wins = helper_first.setdefault(stop, len(helper_first) % 2 == 0)
+            on_helper = threading.current_thread().name == "binaryshield-scan"
+            if helper_wins != on_helper and wait_taken(stop):
+                (caller_won if on_helper else helper_won).append(acc.size)
             finished = scan_into(corpus_words, query_words, acc, stop)
-            if finished and threading.current_thread().name == "binaryshield-scan":
+            if finished and on_helper:
                 helper_finished.append(acc.size)
             return finished
 
-        monkeypatch.setattr(kernels, "_scan_into", counting)
+        monkeypatch.setattr(kernels, "_scan_into", deciding)
         self.test_inserts_racing_searches()
         assert helper_finished
+        assert helper_won and caller_won
 
     def test_query_with_nonzero_padding_rejected(self):
         store = make_random_store(5, 75, seed=29)
@@ -484,12 +511,17 @@ class TestSnapshot:
         with pytest.raises(CorruptPayload, match="padding"):
             FingerprintStore.load_snapshot(path)
 
-    def test_failed_save_keeps_previous_snapshot(self, tmp_path):
+    def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         path = self._three_records(tmp_path)
         before = path.read_bytes()
         bad = FingerprintStore()
-        bad.insert(_fp("x", [1, 0] * 12, metadata={"note": "\ud800"}))
-        with pytest.raises(UnicodeEncodeError):
+        bad.insert(_fp("x", [1, 0] * 12, metadata={"note": "n"}))
+
+        def failing(metadata):
+            raise OSError("metadata encoder failed")
+
+        monkeypatch.setattr(store_module, "_encode_metadata", failing)
+        with pytest.raises(OSError, match="encoder failed"):
             bad.save_snapshot(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.bsfp"]
