@@ -23,7 +23,6 @@ class ScanReport:
     corpus_size: int
     n_queries: int
     total_seconds: float
-    per_query_seconds: list[float]
     backend: str
 
     @property
@@ -78,17 +77,13 @@ def scan_benchmark(store: FingerprintStore,
     """
     words = store.word_matrix()
     rows = [kernels.bytes_to_words(query_bytes(q, store.dim)) for q in queries]
-    per_query: list[float] = []
     t0 = time.perf_counter()
     for row in rows:
-        tq = time.perf_counter()
         distances = kernels.scan_distances(words, row)
         _ = int(distances.argmin()) if distances.size else -1
-        per_query.append(time.perf_counter() - tq)
     total = time.perf_counter() - t0
     return ScanReport(mode="packed_hamming", corpus_size=len(store),
                       n_queries=len(queries), total_seconds=total,
-                      per_query_seconds=per_query,
                       backend=kernels.active_backend())
 
 
@@ -96,17 +91,14 @@ def dense_scan_benchmark(matrix: np.ndarray, queries: np.ndarray) -> ScanReport:
     """Time a per-query top-1 cosine scan of unit-norm ``queries`` over the
     unit-norm rows of ``matrix``, one query at a time as the packed scan
     in :func:`scan_benchmark` does."""
-    per_query: list[float] = []
     t0 = time.perf_counter()
     for vec in queries:
-        tq = time.perf_counter()
         scores = matrix @ vec
         _ = int(scores.argmax()) if scores.size else -1
-        per_query.append(time.perf_counter() - tq)
     total = time.perf_counter() - t0
     return ScanReport(mode="dense_cosine", corpus_size=matrix.shape[0],
                       n_queries=len(queries), total_seconds=total,
-                      per_query_seconds=per_query, backend="blas")
+                      backend="blas")
 
 
 @dataclass

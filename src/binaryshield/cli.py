@@ -303,7 +303,7 @@ def store_build(input_path, out_path):
     for lineno, frame in read_frames(input_path):
         try:
             store.insert(StoredFingerprint(
-                id=frame.fingerprint_id, bits=frame.decoded_bits(),
+                id=frame.fingerprint_id, bits=frame.bits,
                 dim=frame.dim, alpha=frame.alpha, metadata=frame.metadata))
         except ValueError as exc:
             raise SchemaError(str(exc), path=input_path, line=lineno) from None
@@ -335,12 +335,12 @@ def search(store_path, query_path, tau, topk, fmt, out_path):
     if first is None:
         raise click.ClickException(f"{query_path}: empty query file")
     _, composite = first
-    bits = composite.decoded_bits()
     if tau is not None:
-        results = store.search_threshold(bits, tau,
+        results = store.search_threshold(composite.bits, tau,
                                          query_metadata=composite.metadata)
     else:
-        results = store.search_topk(bits, topk, query_metadata=composite.metadata)
+        results = store.search_topk(composite.bits, topk,
+                                    query_metadata=composite.metadata)
     if fmt == "json":
         lines = [json.dumps({"id": r.id, "distance": r.distance,
                              "metadata_overlap": r.metadata_overlap},

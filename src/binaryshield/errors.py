@@ -30,6 +30,16 @@ class FrameDecodeError(BinaryShieldError, ValueError):
         super().__init__(f"frame field {field!r}: {reason}")
 
 
+class FieldError(BinaryShieldError, ValueError):
+    """A string field breaks the one string rule (``records.check_strings``);
+    carries the field, so each reader can report it its own way."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field} {reason}")
+
+
 class MissingEmbedding(BinaryShieldError, LookupError):
     """A file-backed cache has no record for the requested key."""
 

@@ -463,26 +463,3 @@ def storage_report(count: int, dim: int, float_bytes: int = 4,
                          dense_bytes=dense, binary_bytes=binary,
                          ratio=dense / binary,
                          measured_binary_bytes=measured_binary_bytes)
-
-
-# -- small statistics helpers ------------------------------------------------------
-
-def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rho with average ranks for ties (no scipy dependency)."""
-    def ranks(values):
-        arr = np.asarray(values, dtype=np.float64)
-        order = np.argsort(arr, kind="stable")
-        r = np.empty(arr.size, dtype=np.float64)
-        i = 0
-        while i < arr.size:
-            j = i
-            while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-                j += 1
-            r[order[i:j + 1]] = (i + j) / 2 + 1
-            i = j + 1
-        return r
-    rx, ry = ranks(x), ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float((rx ** 2).sum()) * float((ry ** 2).sum()))
-    return float((rx * ry).sum() / denom) if denom else 0.0

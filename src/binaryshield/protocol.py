@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .embeddings import PseudoEmbedder
-from .errors import CorruptPayload, FrameDecodeError, SchemaError
+from .errors import CorruptPayload, FieldError, FrameDecodeError, SchemaError
 from .fingerprint import (BinaryFingerprint, PrivacyBudget, check_payload,
                           quantize, randomize)
-from .records import (CorpusRecord, check_metadata, iter_lines, load_corpus,
+from .records import (CorpusRecord, check_strings, iter_lines, load_corpus,
                       write_corpus_jsonl)
 from .redaction import Redactor
 from .store import FingerprintStore, StoredFingerprint
@@ -28,6 +28,8 @@ from .synthetic import SyntheticGenerator
 from .textproc import derive_seed
 
 FRAME_VERSION = 1
+# Built once: json.dumps with separators= builds a new encoder per call.
+_FRAME_JSON = json.JSONEncoder(separators=(",", ":"))
 # The simulator's PseudoEmbedder keeps a dim-long float64 vector per token.
 MAX_SCENARIO_DIM = 1 << 16
 # Each frame key, in wire order, with the JSON types it may hold (a bool
@@ -46,16 +48,18 @@ _FRAME_FIELDS = {
 
 @dataclass(frozen=True)
 class CompositeFingerprint:
-    """Privatized bits plus non-private metadata; the wire object. Its values
+    """Privatized bits plus non-private metadata; the wire object. ``bits``
+    is the packed payload, which only a frame spells in base64. Its values
     are checked only here: a bad one raises ``FrameDecodeError`` naming the
-    field, however the composite was made. ``alpha`` is stored as a float."""
+    wire field, however the composite was made. ``alpha`` is stored as a
+    float."""
 
     version: int
     origin_service: str
     fingerprint_id: str
     dim: int
     alpha: float
-    bits_base64: str
+    bits: bytes
     metadata: dict[str, str]
     issued_at: int
 
@@ -65,23 +69,22 @@ class CompositeFingerprint:
         except ValueError:
             raise FrameDecodeError("alpha", _FRAME_FIELDS["alpha"][1]) from None
         try:
-            bits = base64.b64decode(self.bits_base64, validate=True)
-        except ValueError as exc:       # binascii.Error, or not ASCII
-            raise FrameDecodeError("bits_base64", f"invalid base64: {exc}") from None
-        try:
-            check_payload(bits, self.dim)
+            check_payload(self.bits, self.dim)
         except CorruptPayload as exc:
             raise FrameDecodeError("bits_base64", f"decoded {exc}") from None
         except ValueError:
             raise FrameDecodeError("dim", _FRAME_FIELDS["dim"][1]) from None
         try:
-            check_metadata(self.metadata)
-        except ValueError as exc:
-            raise FrameDecodeError("metadata", str(exc)) from None
-        object.__setattr__(self, "_bits", bits)
+            check_strings({"origin_service": self.origin_service,
+                           "fingerprint_id": self.fingerprint_id},
+                          metadata=self.metadata)
+        except FieldError as exc:
+            raise FrameDecodeError(exc.field, exc.reason) from None
 
     def decoded_bits(self) -> bytes:
-        return self._bits
+        """Alias of ``bits``, kept only because the benchmark under
+        ``perfbench/`` calls it; it goes with that benchmark's next change."""
+        return self.bits
 
 
 def compose(origin_service: str, fingerprint_id: str, release: BinaryFingerprint,
@@ -93,8 +96,7 @@ def compose(origin_service: str, fingerprint_id: str, release: BinaryFingerprint
     return CompositeFingerprint(
         version=FRAME_VERSION, origin_service=origin_service,
         fingerprint_id=fingerprint_id, dim=release.dim,
-        alpha=release.alpha.alpha,
-        bits_base64=base64.b64encode(release.bits).decode("ascii"),
+        alpha=release.alpha.alpha, bits=release.bits,
         metadata=dict(metadata), issued_at=issued_at)
 
 
@@ -107,11 +109,11 @@ def encode_frame(f: CompositeFingerprint) -> bytes:
         "fingerprint_id": f.fingerprint_id,
         "dim": f.dim,
         "alpha": f.alpha,
-        "bits_base64": f.bits_base64,
+        "bits_base64": base64.b64encode(f.bits).decode("ascii"),
         "metadata": {k: f.metadata[k] for k in sorted(f.metadata)},
         "issued_at": f.issued_at,
     }
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_FRAME_JSON.encode(obj) + "\n").encode("utf-8")
 
 
 def decode_frame(data: bytes | str) -> CompositeFingerprint:
@@ -136,7 +138,11 @@ def decode_frame(data: bytes | str) -> CompositeFingerprint:
     for key, (types, reason) in _FRAME_FIELDS.items():
         if type(obj[key]) not in types:
             raise FrameDecodeError(key, reason)
-    return CompositeFingerprint(**obj)
+    try:
+        bits = base64.b64decode(obj.pop("bits_base64"), validate=True)
+    except ValueError as exc:       # binascii.Error, or not ASCII
+        raise FrameDecodeError("bits_base64", f"invalid base64: {exc}") from None
+    return CompositeFingerprint(bits=bits, **obj)
 
 
 def read_frames(path: str | Path) -> Iterator[tuple[int, CompositeFingerprint]]:
@@ -234,7 +240,6 @@ def broadcast(f: CompositeFingerprint,
     """
     if not peers:
         raise ValueError("broadcast requires at least one peer")
-    bits = f.decoded_bits()
     replies: list[CorrelationReply] = []
     for peer in sorted(peers, key=lambda p: p.service_id):
         count, error = 0, None
@@ -242,7 +247,7 @@ def broadcast(f: CompositeFingerprint,
             error = f"dimension mismatch: {f.dim} vs {peer.store.dim}"
         else:
             try:
-                count = len(peer.store.search_threshold(bits, peer.tau))
+                count = len(peer.store.search_threshold(f.bits, peer.tau))
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
         replies.append(CorrelationReply(
@@ -360,6 +365,7 @@ def simulate_campaign(scenario: dict | str | Path,
         if service_id in nodes:
             raise SchemaError(f"duplicate service_id {service_id!r}", path=where)
         try:
+            check_strings({"service_id": service_id})
             node = ServiceNode(service_id, FingerprintStore(dim=dim), tau)
         except ValueError as exc:
             raise SchemaError(str(exc), path=where) from None
@@ -387,7 +393,7 @@ def simulate_campaign(scenario: dict | str | Path,
         record_id = _field(event, "record_id", (str,), where, f"event {idx}")
         metadata = event.get("metadata", {})
         try:
-            check_metadata(metadata)
+            check_strings(metadata=metadata)
         except ValueError as exc:
             raise SchemaError(f"event {idx}: {exc}", path=where) from None
         if service_id not in nodes:

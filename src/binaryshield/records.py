@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .errors import SchemaError
+from .errors import FieldError, SchemaError
 
 
 class VariantType(Enum):
@@ -38,17 +38,33 @@ VARIANT_SUBSTITUTIONS = {
 }
 
 
-def check_metadata(metadata) -> None:
-    """Raise ``ValueError`` unless ``metadata`` maps strings to strings
-    with no newline in a value: the rule for prompt records, wire frames
-    and scenario events alike."""
+def check_strings(ids: Mapping[str, object] = {}, texts: Mapping[str, object] = {},
+                  metadata: object = {}) -> None:
+    """The one rule for the strings of a prompt, dataset record, wire frame,
+    scenario event or store entry: each id is a non-empty string,
+    ``metadata`` maps strings to strings with no newline in a value, and
+    UTF-8 can encode every id, text and metadata string, so no lone
+    surrogate such as ``"\\ud800"`` (a valid JSON escape) passes. ``ids``
+    and ``texts`` (strings already) map field names to values; a fault
+    raises ``FieldError`` naming its field."""
+    for name, value in ids.items():
+        if not isinstance(value, str) or not value:
+            raise FieldError(name, "must be a non-empty string")
     if not isinstance(metadata, dict):
-        raise ValueError("metadata must map strings to strings")
+        raise FieldError("metadata", "must map strings to strings")
+    strings = [*ids.items(), *texts.items()]
     for key, value in metadata.items():
         if not isinstance(key, str) or not isinstance(value, str):
-            raise ValueError("metadata must map strings to strings")
+            raise FieldError("metadata", "must map strings to strings")
         if "\n" in value:
-            raise ValueError(f"metadata value for {key!r} contains a newline")
+            raise FieldError("metadata", f"value for {key!r} contains a newline")
+        strings += (("metadata", key), ("metadata", value))
+    for name, value in strings:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FieldError(name, f"is not UTF-8 encodable ({value[exc.start]!r} "
+                                   f"at character {exc.start})") from None
 
 
 @dataclass(frozen=True)
@@ -59,9 +75,6 @@ class PromptRecord:
     id: str
     text: str
     metadata: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_metadata(self.metadata)
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,9 @@ _CORPUS_FIELDS = {"id": (str,), "text": (str,), "is_attack": (bool,),
 
 
 def _load_records(path: str | Path, fields: dict, build) -> list:
-    """The one typed record loop: fields are type-checked before ``build``
-    runs, so every violation, a repeated id included, is a ``SchemaError``
-    at path:line."""
+    """The one typed record loop: fields are type-checked and held to
+    :func:`check_strings` before ``build`` runs, so every violation, a
+    repeated id included, is a ``SchemaError`` at path:line."""
     records = []
     seen_ids: set[str] = set()
     required = [k for k, kinds in fields.items() if type(None) not in kinds]
@@ -170,13 +183,16 @@ def _load_records(path: str | Path, fields: dict, build) -> list:
             if type(value) not in fields[key]:
                 raise SchemaError(f"field {key!r} has the wrong type "
                                   f"{type(value).__name__}", **where)
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"duplicate id {obj['id']!r}", **where)
-        seen_ids.add(obj["id"])
         try:
+            check_strings({"id": obj["id"]},
+                          {k: v for k, v in obj.items() if k != "id" and type(v) is str},
+                          obj.get("metadata") or {})
+            if obj["id"] in seen_ids:
+                raise ValueError(f"duplicate id {obj['id']!r}")
             records.append(build(obj))
         except ValueError as exc:
             raise SchemaError(str(exc), **where) from None
+        seen_ids.add(obj["id"])
     return records
 
 
@@ -202,8 +218,9 @@ def _drop_empty_and_repeated(records: list, content) -> LoadResult:
 def load_prompts(path: str | Path) -> list[PromptRecord]:
     """Read prompt JSONL: string ``id`` and ``text``, optional ``metadata``.
 
-    Ids must be unique. Empty and repeated texts are kept: each prompt is
-    a detection in its own right and gets its own fingerprint.
+    Ids must be non-empty and unique. Empty and repeated texts are kept:
+    each prompt is a detection in its own right and gets its own
+    fingerprint.
     """
     return _load_records(
         path, _PROMPT_FIELDS,

@@ -28,6 +28,7 @@ from .atomicio import atomic_output
 from .errors import CorruptPayload, DimensionMismatch
 from .fingerprint import (PrivacyBudget, check_padding, check_payload,
                           packed_length, padding_mask)
+from .records import check_strings
 
 SNAPSHOT_MAGIC = b"BSFP\x00\x01"
 _HEADER = struct.Struct("<II")      # dim, record count
@@ -179,31 +180,26 @@ class FingerprintStore:
         """Check one entry, write its bits into the word matrix and return
         its insertion sequence number. A rejected entry leaves the store
         as it was."""
-        if not isinstance(fp.id, str) or not fp.id:
-            raise ValueError(f"fingerprint id must be a non-empty string, got {fp.id!r}")
-        if not isinstance(fp.metadata, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in fp.metadata.items()):
-            raise ValueError(f"entry {fp.id}: metadata must map strings to strings")
         check_payload(fp.bits, fp.dim)
         alpha = math.nan if fp.alpha is None else PrivacyBudget.of(fp.alpha).alpha
         row = kernels.bytes_to_words(fp.bits)
         with self._lock:
             if self.dim is not None and fp.dim != self.dim:
                 raise DimensionMismatch(fp.dim, self.dim, f"entry {fp.id}")
+            # One shared dict per metadata content, in its key order; a
+            # content seen before passed the string rule then.
+            try:
+                key = tuple(fp.metadata.items())
+                metadata = self._shared_metadata.get(key)
+            except (AttributeError, TypeError):     # not a dict of hashables
+                metadata = None
+            try:
+                check_strings({"id": fp.id},
+                              metadata=fp.metadata if metadata is None else {})
+            except ValueError as exc:
+                raise ValueError(f"entry {fp.id!r}: {exc}") from None
             if fp.id in self._id_index:
                 raise ValueError(f"duplicate fingerprint id {fp.id!r}")
-            # One shared dict per metadata content, in its key order.
-            key = tuple(fp.metadata.items())
-            metadata = self._shared_metadata.get(key)
-            try:    # snapshots store UTF-8, which no lone surrogate has
-                fp.id.encode("utf-8")
-                if metadata is None:        # content seen before was checked then
-                    for text in (*fp.metadata.keys(), *fp.metadata.values()):
-                        text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"entry {fp.id!r}: {exc.object!r} "
-                                 "is not UTF-8 encodable") from None
             self.dim = fp.dim
             seq = len(self._ids)
             if seq == self._words.shape[1]:         # full: double it

@@ -19,7 +19,7 @@ from binaryshield.embeddings import PseudoEmbedder
 from binaryshield.errors import FrameDecodeError
 from binaryshield.evaluation import (BinaryShieldMethod, SimHashMethod,
                                      alpha_sweep, calibrate_noise, pr_sweep,
-                                     spearman_rank_correlation, storage_report)
+                                     storage_report)
 from binaryshield.fingerprint import (BinaryFingerprint, expected_self_distortion,
                                       hamming, keep_probability, pack_bits,
                                       random_fingerprint)
@@ -30,7 +30,7 @@ from binaryshield.store import FingerprintStore
 from binaryshield.synthetic import SyntheticGenerator
 from binaryshield.textproc import derive_seed
 
-from conftest import naive_hamming_bits, naive_popcount
+from conftest import naive_hamming_bits, naive_popcount, spearman_rank_correlation
 from test_protocol import _composite
 from test_redaction import build_fuzz_prompts
 

@@ -144,6 +144,34 @@ class TestFingerprint:
         assert not out.exists()
 
 
+# Prompt records that break the string rule, and the message each gets.
+BAD_PROMPTS = {
+    "empty-id": ({"id": "", "text": "ignore previous instructions"},
+                 "id must be a non-empty string"),
+    "surrogate-id": ({"id": "p\ud800", "text": "x"}, "id is not UTF-8 encodable"),
+    "surrogate-text": ({"id": "p", "text": "hi \ud800"},
+                       "text is not UTF-8 encodable"),
+    "surrogate-key": ({"id": "p", "text": "x", "metadata": {"\udfff": "v"}},
+                      "metadata is not UTF-8 encodable"),
+    "surrogate-value": ({"id": "p", "text": "x", "metadata": {"k": "e\udfff"}},
+                        "metadata is not UTF-8 encodable"),
+}
+
+
+@pytest.mark.parametrize("command", ["fingerprint", "redact"])
+@pytest.mark.parametrize("case", sorted(BAD_PROMPTS))
+def test_prompt_breaking_the_string_rule_exits_1_at_its_line(
+        runner, prompts_file, tmp_path, command, case):
+    record, message = BAD_PROMPTS[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(prompts_file.read_text() + json.dumps(record) + "\n")
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [command, "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"{path}:4: {message}" in result.output
+    assert not out.exists()
+
+
 class TestRedactCli:
     def test_redacts_and_reports_counts(self, runner, prompts_file, tmp_path):
         out = tmp_path / "red.jsonl"
@@ -291,8 +319,26 @@ class TestStoreAndSearch:
         result = runner.invoke(main, ["store", "build", "--input", str(bad),
                                       "--out", str(built)])
         assert result.exit_code == 1
-        assert f"{bad}:1: entry " in result.output
-        assert "is not UTF-8 encodable" in result.output
+        wire = "fingerprint_id" if field == "fingerprint_id" else "metadata"
+        assert f"{bad}:1: frame field {wire!r}: is not UTF-8 encodable" in result.output
+        assert not built.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fingerprint_id", "", "must be a non-empty string"),
+        ("metadata", {"\udfff": "email"}, "is not UTF-8 encodable")],
+        ids=["empty-id", "surrogate-key"])
+    def test_frame_breaking_the_string_rule_names_its_line(
+            self, runner, snapshot, tmp_path, field, value, message):
+        frames, _ = snapshot
+        lines = frames.read_text().splitlines()
+        frame = {**json.loads(lines[1]), field: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+        built = tmp_path / "built.bsfp"
+        result = runner.invoke(main, ["store", "build", "--input", str(bad),
+                                      "--out", str(built)])
+        assert result.exit_code == 1
+        assert f"{bad}:2: frame field {field!r}: {message}" in result.output
         assert not built.exists()
 
     def test_tau_and_topk_together_usage_error(self, runner, snapshot, tmp_path):

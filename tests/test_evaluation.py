@@ -11,12 +11,13 @@ from binaryshield.evaluation import (AlphaSweepResult, BinaryShieldMethod,
                                      _distances_by_pair, _fingerprint_rows,
                                      _released, accuracy_at_k, alpha_sweep,
                                      calibrate_noise, pr_sweep, prpoint,
-                                     spearman_rank_correlation, storage_report)
+                                     storage_report)
 from binaryshield.fingerprint import hamming, quantize, randomize
 from binaryshield.records import CorpusRecord, PairRecord, VariantType
 from binaryshield.synthetic import SyntheticGenerator
 from binaryshield.textproc import derive_seed
 
+from conftest import spearman_rank_correlation
 # The dataset loaders' tests live in test_records.py beside the other
 # readers'; this import also collects them here.
 from test_records import TestLoaders  # noqa: F401

@@ -30,8 +30,8 @@ def _composite(seed=0, dim=768, metadata=None, alpha=2.0):
     fp = random_fingerprint(dim, seed)
     return CompositeFingerprint(
         version=1, origin_service="S1", fingerprint_id=f"fp-{seed}", dim=dim,
-        alpha=alpha, bits_base64=base64.b64encode(fp.bits).decode("ascii"),
-        metadata=metadata or {"tool": "email"}, issued_at=seed)
+        alpha=alpha, bits=fp.bits, metadata=metadata or {"tool": "email"},
+        issued_at=seed)
 
 
 class TestFrameFormat:
@@ -59,8 +59,8 @@ class TestFrameFormat:
                              "issued_at"]
 
     def test_768_payload_is_128_base64_chars(self):
-        f = _composite(dim=768)
-        assert len(f.bits_base64) == 128
+        frame = json.loads(encode_frame(_composite(dim=768)))
+        assert len(frame["bits_base64"]) == 128
 
     def test_encoding_is_deterministic(self):
         f = _composite(metadata={"b": "2", "a": "1"})
@@ -176,14 +176,16 @@ class TestFrameFormat:
                                              max_size=(dim + 7) // 8)))
         if dim % 8:
             bits[-1] &= (1 << dim % 8) - 1
-        line = st.text().filter(lambda t: "\n" not in t)
+        text = st.text(st.characters(blacklist_categories=("Cs",)))
+        line = text.filter(lambda t: "\n" not in t)
         c = CompositeFingerprint(
-            version=data.draw(st.integers()), origin_service=data.draw(st.text()),
-            fingerprint_id=data.draw(st.text()), dim=dim,
+            version=data.draw(st.integers()),
+            origin_service=data.draw(text.filter(bool)),
+            fingerprint_id=data.draw(text.filter(bool)), dim=dim,
             alpha=data.draw(st.floats(min_value=0, exclude_min=True,
                                       allow_infinity=False)),
-            bits_base64=base64.b64encode(bytes(bits)).decode("ascii"),
-            metadata=data.draw(st.dictionaries(st.text(), line, max_size=4)),
+            bits=bytes(bits),
+            metadata=data.draw(st.dictionaries(text, line, max_size=4)),
             issued_at=data.draw(st.integers()))
         assert encode_frame(decode_frame(encode_frame(c))) == encode_frame(c)
 
@@ -207,6 +209,12 @@ _COMPOSITE_FAULTS = {
     "padded_bits": ("bits_base64", {"bits_base64": _b64(b"\x01\x03")}),
     "bad_base64": ("bits_base64", {"bits_base64": "AQ!="}),
     "metadata_newline": ("metadata", {"metadata": {"k": "a\nb"}}),
+    "empty_id": ("fingerprint_id", {"fingerprint_id": ""}),
+    "empty_service": ("origin_service", {"origin_service": ""}),
+    "surrogate_id": ("fingerprint_id", {"fingerprint_id": "f\ud800"}),
+    "surrogate_service": ("origin_service", {"origin_service": "\udfff"}),
+    "surrogate_metadata_key": ("metadata", {"metadata": {"\ud800": "v"}}),
+    "surrogate_metadata_value": ("metadata", {"metadata": {"k": "v\udfff"}}),
 }
 
 
@@ -215,17 +223,24 @@ class TestOneValueRule:
     type checks, so a fault reads the same from either door."""
 
     def test_unfaulted_values_are_valid(self):
-        assert decode_frame(json.dumps(_NINE_BITS)) == CompositeFingerprint(**_NINE_BITS)
+        values = {**_NINE_BITS, "bits": b"\x01\x01"}
+        del values["bits_base64"]
+        assert decode_frame(json.dumps(_NINE_BITS)) == CompositeFingerprint(**values)
 
     @pytest.mark.parametrize("field, fault", _COMPOSITE_FAULTS.values(),
                              ids=list(_COMPOSITE_FAULTS))
     def test_same_error_built_or_decoded(self, field, fault):
         values = {**_NINE_BITS, **fault}
-        with pytest.raises(FrameDecodeError) as built:
-            CompositeFingerprint(**values)
         with pytest.raises(FrameDecodeError) as decoded:
             decode_frame(json.dumps(values))    # NaN and Infinity as literals
-        assert built.value.field == decoded.value.field == field
+        assert decoded.value.field == field
+        try:
+            bits = base64.b64decode(values.pop("bits_base64"), validate=True)
+        except ValueError:
+            return                  # only a frame can spell bad base64
+        with pytest.raises(FrameDecodeError) as built:
+            CompositeFingerprint(bits=bits, **values)
+        assert built.value.field == field
         assert str(built.value) == str(decoded.value)
 
     def test_integer_alpha_is_stored_as_a_float(self):
@@ -249,10 +264,15 @@ class TestCompose:
     def test_takes_dim_and_alpha_from_the_release(self):
         release = randomize(random_fingerprint(20, 3), 1.25, 8)
         c = compose("S1", "fp-1", release, {"tool": "email"}, 4)
-        assert (c.dim, c.alpha, c.decoded_bits()) == (20, 1.25, release.bits)
+        assert (c.dim, c.alpha, c.bits) == (20, 1.25, release.bits)
         assert (c.version, c.origin_service, c.fingerprint_id, c.issued_at) == (
             1, "S1", "fp-1", 4)
         assert c.metadata == {"tool": "email"}
+
+    def test_decoded_bits_is_an_alias_of_bits(self):
+        # perfbench/ still reads the payload through the old accessor name
+        c = compose("S1", "fp-1", randomize(random_fingerprint(20, 3), 1.25, 8), {}, 0)
+        assert c.decoded_bits() is c.bits
 
     def test_rejects_a_release_without_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -305,8 +325,7 @@ class TestBroadcast:
                                                     ("g1", random_fingerprint(64, 62).bits)])
         f = CompositeFingerprint(
             version=1, origin_service="S", fingerprint_id="q", dim=64, alpha=2.0,
-            bits_base64=base64.b64encode(query.bits).decode("ascii"),
-            metadata={}, issued_at=0)
+            bits=query.bits, metadata={}, issued_at=0)
         replies = broadcast(f, [good, bad])
         assert [r.service_id for r in replies] == ["P0", "P1"]
         assert replies[0].error == "OSError: log unreadable"
@@ -332,8 +351,7 @@ class TestBroadcast:
         node = ServiceNode(service_id="P", store=store, tau=100)
         f = CompositeFingerprint(
             version=1, origin_service="Q", fingerprint_id="q1", dim=dim,
-            alpha=2.0, bits_base64=base64.b64encode(base.bits).decode(),
-            metadata={}, issued_at=0)
+            alpha=2.0, bits=base.bits, metadata={}, issued_at=0)
         replies = broadcast(f, [node])
         oracle = sum(1 for e in store
                      if naive_hamming_bits(e.bits, base.bits, dim) <= 100)
@@ -385,14 +403,14 @@ class TestIngestDetection:
         n1, n2 = _node("A"), _node("B")
         c1 = ingest_detection(n1, "same exact prompt text", {}, config)
         c2 = ingest_detection(n2, "same exact prompt text", {}, config)
-        assert c1.decoded_bits() == c2.decoded_bits()
+        assert c1.bits == c2.bits
 
     def test_stores_privatized_fingerprint_locally(self, pipeline):
         node = _node("S2")
         comp = ingest_detection(node, "some flagged prompt", {"a": "b"},
                                 pipeline, fingerprint_id="det-2")
         assert len(node.store) == 1
-        assert node.store.get("det-2").bits == comp.decoded_bits()
+        assert node.store.get("det-2").bits == comp.bits
         assert node.store.get("det-2").metadata == {"a": "b"}
 
     def test_failure_stores_nothing(self, pipeline):
@@ -583,6 +601,9 @@ class TestScenarioSchema:
         ((("events", 0), "metadata"), [1], "metadata"),
         ((("events", 0), "metadata"), {"tool": "a\nb"}, "metadata"),
         ((("events", 0), "record_id"), ["a0"], "record_id"),
+        ((("events", 0), "metadata"), {"tool": "\ud800"}, "metadata is not UTF-8"),
+        ((("services", 0), "service_id"), "", "service_id must be a non-empty"),
+        ((("services", 0), "service_id"), "S\udfff", "service_id is not UTF-8"),
     ])
     def test_named_bad_values_raise_schema_error(self, scenario_dir, redactor,
                                                  field, value, message):

@@ -3,17 +3,23 @@ files. Every fault in such a file is a ``SchemaError`` at path:line; a
 missing file stays an ``OSError``."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binaryshield.errors import SchemaError
-from binaryshield.protocol import CompositeFingerprint, encode_frame, read_frames
+from binaryshield.embeddings import PseudoEmbedder
+from binaryshield.errors import FrameDecodeError, SchemaError
+from binaryshield.fingerprint import random_fingerprint, randomize
+from binaryshield.protocol import (CompositeFingerprint, compose, decode_frame,
+                                   encode_frame, read_frames)
 from binaryshield.records import (CorpusRecord, PairRecord, PromptRecord, VariantType,
-                                  check_metadata, load_corpus, load_pairs,
+                                  check_strings, load_corpus, load_pairs,
                                   load_prompts, write_corpus_jsonl, write_pairs_jsonl)
+from binaryshield.redaction import Redactor
+from binaryshield.store import FingerprintStore, StoredFingerprint
 from binaryshield.synthetic import SyntheticGenerator
 
 
@@ -27,7 +33,7 @@ PAIR = {"id": "a", "prompt_a": "x y", "prompt_b": "z w", "label": 1,
 CORPUS = {"id": "a", "text": "some words", "is_attack": True, "attack_group": "g"}
 FRAME = json.loads(encode_frame(CompositeFingerprint(
     version=1, origin_service="S1", fingerprint_id="f1", dim=12, alpha=2.0,
-    bits_base64="qwk=", metadata={"tool": "email"}, issued_at=0)))
+    bits=b"\xab\x09", metadata={"tool": "email"}, issued_at=0)))
 
 #: reader name -> (read the whole file, two valid records)
 READERS = {
@@ -167,17 +173,17 @@ class TestPrompts:
 
 class TestCheckMetadata:
     def test_accepts_strings_to_strings(self):
-        check_metadata({})
-        check_metadata({"tool": "email", "region": "eu"})
+        check_strings(metadata={})
+        check_strings(metadata={"tool": "email", "region": "eu"})
 
     @pytest.mark.parametrize("metadata", [None, [], {"k": 1}, {1: "v"}, {"k": None}])
     def test_rejects_other_types(self, metadata):
         with pytest.raises(ValueError, match="metadata must map strings to strings"):
-            check_metadata(metadata)
+            check_strings(metadata=metadata)
 
     def test_rejects_a_newline_in_a_value(self):
         with pytest.raises(ValueError, match="value for 'k' contains a newline"):
-            check_metadata({"k": "a\nb"})
+            check_strings(metadata={"k": "a\nb"})
 
 
 class TestReadFrames:
@@ -348,3 +354,107 @@ class TestLoaders:
         loaded = load_corpus(path)
         assert len(loaded.records) == 1
         assert loaded.dropped_duplicate == 1
+
+
+# fault -> (reader, key of its second record, value, message after
+# "in.jsonl:2: ")
+STRING_FAULTS = {
+    "prompts-empty-id": ("prompts", "id", "", "id must be a non-empty string"),
+    "pairs-empty-id": ("pairs", "id", "", "id must be a non-empty string"),
+    "corpus-empty-id": ("corpus", "id", "", "id must be a non-empty string"),
+    "frames-empty-id": ("frames", "fingerprint_id", "",
+                        "frame field 'fingerprint_id': must be a non-empty string"),
+    "prompts-surrogate-id": ("prompts", "id", "p\ud800",
+                             "id is not UTF-8 encodable ('\\ud800' at character 1)"),
+    "prompts-surrogate-text": ("prompts", "text", "hi \udfff",
+                               "text is not UTF-8 encodable"),
+    "prompts-surrogate-key": ("prompts", "metadata", {"\ud800": "v"},
+                              "metadata is not UTF-8 encodable"),
+    "prompts-surrogate-value": ("prompts", "metadata", {"k": "e\udfff"},
+                                "metadata is not UTF-8 encodable"),
+    "pairs-surrogate-prompt": ("pairs", "prompt_b", "\ud800",
+                               "prompt_b is not UTF-8 encodable"),
+    "corpus-surrogate-text": ("corpus", "text", "\ud800", "text is not UTF-8 encodable"),
+    "corpus-surrogate-group": ("corpus", "attack_group", "g\ud800",
+                               "attack_group is not UTF-8 encodable"),
+    "frames-surrogate-key": ("frames", "metadata", {"\udfff": "email"},
+                             "frame field 'metadata': is not UTF-8 encodable"),
+}
+
+
+class TestStringRule:
+    """Every reader holds ids, texts and metadata to ``check_strings``: an
+    empty id, or a lone surrogate (a valid JSON escape) anywhere, is a
+    ``SchemaError`` at the line that holds it."""
+
+    @pytest.mark.parametrize("name, key, value, message", STRING_FAULTS.values(),
+                             ids=list(STRING_FAULTS))
+    def test_fault_is_a_schema_error_at_its_line(self, tmp_path, name, key, value,
+                                                  message):
+        first, second = READERS[name][1]
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(_jsonl(first, {**second, key: value}))   # escapes \ud800
+        with pytest.raises(SchemaError, match=f"in.jsonl:2: {re.escape(message)}"):
+            READERS[name][0](path)
+
+
+@pytest.fixture(scope="module")
+def redactor():
+    return Redactor.default()
+
+
+def _store_accepts(c: CompositeFingerprint) -> None:
+    FingerprintStore().insert(StoredFingerprint(
+        id=c.fingerprint_id, bits=c.bits, dim=c.dim, alpha=c.alpha,
+        metadata=c.metadata))
+
+
+_SLOTS = ["metadata key", "metadata value"]
+
+
+def _put(obj: dict, slot: str, value: str) -> dict:
+    """``obj`` with ``value`` in one string slot: a top-level key, or the
+    one metadata key or value."""
+    if slot == "metadata key":
+        return {**obj, "metadata": {value: "email"}}
+    if slot == "metadata value":
+        return {**obj, "metadata": {"tool": value}}
+    return {**obj, slot: value}
+
+
+class TestReadersAgreeWithTheStore:
+    """What a reader accepts, the store accepts: any text, lone surrogates
+    included, in any string slot of a frame or a prompt line either fails
+    with the reader's typed error or makes a frame that re-encodes to the
+    same bytes and that a store takes."""
+
+    @given(slot=st.sampled_from(["origin_service", "fingerprint_id", *_SLOTS]),
+           value=st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_frame(self, slot, value):
+        line = (json.dumps(_put(FRAME, slot, value), separators=(",", ":"))
+                + "\n").encode("utf-8")
+        try:
+            composite = decode_frame(line)
+        except FrameDecodeError:
+            return
+        assert encode_frame(composite) == line
+        _store_accepts(composite)
+
+    @given(slot=st.sampled_from(["id", "text", *_SLOTS]), value=st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_prompt_line(self, redactor, slot, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_bytes(_jsonl(_put(PROMPT, slot, value)))
+            try:
+                (record,) = load_prompts(path)
+            except SchemaError:
+                return
+        redacted = redactor.redact(record.text)
+        if redacted.text.strip():       # a blank prompt fails to embed, by design
+            PseudoEmbedder(dim=12).embed(redacted)
+        release = randomize(random_fingerprint(12, 0), 2.0, 1)
+        line = encode_frame(compose("S1", record.id, release, record.metadata, 0))
+        assert encode_frame(decode_frame(line)) == line
+        _store_accepts(decode_frame(line))

@@ -540,7 +540,6 @@ class TestScanBenchmark:
         report = scan_benchmark(store, queries)
         assert report.mode == "packed_hamming"
         assert report.n_queries == 5
-        assert len(report.per_query_seconds) == 5
         assert report.total_seconds > 0
         assert "corpus_size" in report.to_json()
 
