@@ -40,6 +40,12 @@ GOLDEN = {
         "63d5dc8346291d12705794477402d219caf69ee720f816df5171715eabc569d5",
     "accuracy_at_k":
         "9ad24bfcdd87fb1915c2332c9aed34064138e2eac0b42adeb06c7fb72620b12c",
+    "pr_sweep_simhash":
+        "f48551b84a6cb9bb34078a137da84314546218416c44e920b5d8865103fc5d59",
+    "accuracy_at_k_simhash":
+        "e22fef10950eba4ef8acf3fae86dd90cf7cd19e13c92f2492ec66936e379420e",
+    "accuracy_at_k_dense":
+        "8d402cf9fad10d5e65e97036ef906f2c0dff58ff4d3875950e9012eb16ed5d31",
 }
 
 
@@ -98,6 +104,14 @@ def test_pr_sweep_csv(tmp_path):
     assert _sha(out) == GOLDEN["pr_sweep"]
 
 
+def test_pr_sweep_simhash_csv(tmp_path):
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "pr.csv"
+    _run("gen", "pairs", "--attack", 30, "--benign", 30, "--seed", 3, "--out", pairs)
+    _run("eval", "pr-sweep", "--pairs", pairs, "--seed", 3, "--method", "simhash",
+         "--out", out)
+    assert _sha(out) == GOLDEN["pr_sweep_simhash"]
+
+
 def test_alpha_sweep_csv(tmp_path):
     pairs, out = tmp_path / "pairs.jsonl", tmp_path / "alpha.csv"
     _run("gen", "pairs", "--attack", 30, "--benign", 30, "--seed", 3, "--out", pairs)
@@ -121,3 +135,15 @@ def test_accuracy_at_k_csv(tmp_path):
     _run("eval", "accuracy-at-k", "--corpus", corpus, "--queries", queries,
          "--seed", 5, "--out", out)
     assert _sha(out) == GOLDEN["accuracy_at_k"]
+
+
+
+@pytest.mark.parametrize("method", ["simhash", "dense"])
+def test_accuracy_at_k_method_csv(tmp_path, method):
+    corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
+    out = tmp_path / "acc.csv"
+    _run("gen", "corpus", "--size", 200, "--groups", 10, "--seed", 5,
+         "--out", corpus, "--queries-out", queries)
+    _run("eval", "accuracy-at-k", "--corpus", corpus, "--queries", queries,
+         "--seed", 5, "--method", method, "--out", out)
+    assert _sha(out) == GOLDEN[f"accuracy_at_k_{method}"]
