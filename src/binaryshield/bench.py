@@ -6,15 +6,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .evaluation import storage_report
-from .fingerprint import pack_last_axis
+from .fingerprint import pack_last_axis, philox
 from .store import FingerprintStore, StoredFingerprint, query_bytes
+
+_CHUNK_QUERIES = 44
 
 
 @dataclass
@@ -24,6 +26,11 @@ class ScanReport:
     n_queries: int
     total_seconds: float
     backend: str
+
+    def __add__(self, other: ScanReport) -> ScanReport:
+        """The report of both runs' queries, timed back to back."""
+        return replace(self, n_queries=self.n_queries + other.n_queries,
+                       total_seconds=self.total_seconds + other.total_seconds)
 
     @property
     def mean_query_seconds(self) -> float:
@@ -42,8 +49,7 @@ class ScanReport:
 
 def random_bit_rows(n: int, dim: int, seed: int) -> np.ndarray:
     """(n, ceil(dim/8)) packed uint8 rows with zeroed padding."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = rng.integers(0, 2, size=(n, dim), dtype=np.uint8)
+    bits = philox(seed).integers(0, 2, size=(n, dim), dtype=np.uint8)
     return pack_last_axis(bits)
 
 
@@ -59,8 +65,7 @@ def make_random_store(n: int, dim: int, seed: int) -> FingerprintStore:
 def random_unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
     """(n, dim) float32 standard-normal rows from Philox(seed), scaled to
     unit L2 norm (a zero row stays zero)."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    matrix = rng.standard_normal((n, dim)).astype(np.float32)
+    matrix = philox(seed).standard_normal((n, dim)).astype(np.float32)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     matrix /= norms
@@ -124,14 +129,35 @@ class EfficiencyReport:
         }, sort_keys=True)
 
 
+def _settle() -> None:
+    """Wait, at most about 1 s, until this process's threads are idle: a
+    BLAS worker thread spins on a CPU for about 0.1 s after each call, and
+    the packed scan's helper thread needs that CPU."""
+    for _ in range(100):
+        cpu = time.process_time()
+        time.sleep(0.01)
+        if time.process_time() - cpu < 0.001:
+            return
+
+
 def efficiency_run(n: int, n_queries: int, dim: int = 768,
                    seed: int = 0) -> EfficiencyReport:
     """Build one random packed corpus and one random dense corpus of the
-    same size and time a per-query top-1 scan over each."""
+    same size and time a per-query top-1 scan over each. The two sides take
+    turns, ``_CHUNK_QUERIES`` queries at a time, so a change in host load
+    falls on both; each side's total is the sum of its chunks. Each chunk
+    starts with the process idle, so neither side runs beside the other's
+    threads."""
+    store = make_random_store(n, dim, seed)
+    matrix = random_unit_rows(n, dim, seed + 1)
     queries = [row.tobytes() for row in random_bit_rows(n_queries, dim, seed + 1000)]
-    packed = scan_benchmark(make_random_store(n, dim, seed), queries)
-    dense = dense_scan_benchmark(random_unit_rows(n, dim, seed + 1),
-                                 random_unit_rows(n_queries, dim, seed + 1001))
+    vectors = random_unit_rows(n_queries, dim, seed + 1001)
+    packed, dense = scan_benchmark(store, []), dense_scan_benchmark(matrix, vectors[:0])
+    for i in range(0, n_queries, _CHUNK_QUERIES):
+        _settle()
+        packed += scan_benchmark(store, queries[i:i + _CHUNK_QUERIES])
+        _settle()
+        dense += dense_scan_benchmark(matrix, vectors[i:i + _CHUNK_QUERIES])
     return EfficiencyReport(packed=packed, dense=dense,
                             storage_float32_ratio=storage_report(n, dim, 4).ratio,
                             storage_float64_ratio=storage_report(n, dim, 8).ratio)

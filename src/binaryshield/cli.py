@@ -20,8 +20,8 @@ from . import bench as bench_mod
 from .atomicio import atomic_output
 from .embeddings import (ProviderConfig, ProviderKind, build_cache, make_provider)
 from .errors import BinaryShieldError, SchemaError
-from .evaluation import (BinaryShieldMethod, SimHashMethod, accuracy_at_k,
-                         alpha_sweep, calibrate_noise, pr_sweep, storage_report)
+from .evaluation import (accuracy_at_k, alpha_sweep, calibrate_noise, pr_sweep,
+                         storage_report)
 from .fingerprint import PrivacyBudget, quantize, randomize
 from .protocol import (compose, encode_frame, read_frames, simulate_campaign,
                        write_demo_scenario)
@@ -69,6 +69,17 @@ def _budget(ctx, param, value):
 def _budget_or_none(ctx, param, value):
     """A privacy budget, or None for 'none' (the noise-free pipeline)."""
     return None if value == "none" else _budget(ctx, param, value)
+
+
+def _comma_list(item):
+    """Callback for a comma-separated list of at least one value; empty
+    entries are skipped and ``item`` checks each of the others."""
+    def callback(ctx, param, value):
+        values = [item(ctx, param, v) for v in value.split(",") if v]
+        if not values:
+            raise click.BadParameter(f"{value!r} lists no values")
+        return values
+    return callback
 
 
 DIM = _knob("--dim", type=int, default=768)
@@ -397,9 +408,7 @@ def eval_pr_sweep(pairs_path, method, alpha, seed, dim, provider,
         click.echo(f"dropped {loaded.dropped_empty} empty, "
                    f"{loaded.dropped_duplicate} duplicate pairs", err=True)
     prov = _build_provider(provider, dim, cache_path=cache_path)
-    result = pr_sweep(loaded.records,
-                      SimHashMethod() if method == "simhash"
-                      else BinaryShieldMethod(alpha=alpha, seed=seed), provider=prov)
+    result = pr_sweep(loaded.records, method, alpha=alpha, seed=seed, provider=prov)
     _emit(result.to_csv(), out_path)
     click.echo(f"optimal tau={result.optimal.tau} f1={result.optimal.f1:.4f}",
                err=True)
@@ -409,8 +418,9 @@ def eval_pr_sweep(pairs_path, method, alpha, seed, dim, provider,
 @click.option("--pairs", "pairs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--alphas", default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0",
+              show_default=True, callback=_comma_list(_budget))
+@click.option("--seeds-per-alpha", type=click.IntRange(min=1), default=5,
               show_default=True)
-@click.option("--seeds-per-alpha", type=int, default=5, show_default=True)
 @SEED
 @DIM
 @EVAL_PROVIDER
@@ -422,25 +432,22 @@ def eval_alpha_sweep(pairs_path, alphas, seeds_per_alpha, seed, dim,
     """Privacy-utility sweep: mean optimal metrics per alpha."""
     prov = _build_provider(provider, dim, cache_path=cache_path)
     loaded = load_pairs(pairs_path)
-    result = alpha_sweep(loaded.records,
-                         [float(a) for a in alphas.split(",") if a],
-                         seeds_per_alpha=seeds_per_alpha, base_seed=seed,
-                         provider=prov)
+    result = alpha_sweep(loaded.records, alphas, seeds_per_alpha=seeds_per_alpha,
+                         base_seed=seed, provider=prov)
     _emit(result.to_csv(), out_path)
 
 
 @eval_group.command(name="calibrate-noise")
 @click.option("--n-prompts", type=int, default=500, show_default=True)
 @click.option("--alphas", default="0.2,0.6,1.0,1.4,1.8,2.2,2.6,3.0,3.4",
-              show_default=True)
+              show_default=True, callback=_comma_list(_budget))
 @DIM
 @SEED
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_data_errors
 def eval_calibrate_noise(n_prompts, alphas, dim, seed, out_path):
     """Self-Hamming distortion vs the (1-p)d theory curve."""
-    result = calibrate_noise(n_prompts, [float(a) for a in alphas.split(",") if a],
-                             dim=dim, seed=seed)
+    result = calibrate_noise(n_prompts, alphas, dim=dim, seed=seed)
     _emit(result.to_csv(), out_path)
 
 
@@ -451,7 +458,9 @@ def eval_calibrate_noise(n_prompts, alphas, dim, seed, out_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["binaryshield", "simhash", "dense"]),
               default="binaryshield", show_default=True)
-@click.option("--k", "k_values", default="1,3,5", show_default=True)
+@click.option("--k", "k_values", default="1,3,5", show_default=True,
+              callback=_comma_list(
+                  lambda ctx, param, v: click.IntRange(min=1).convert(v, param, ctx)))
 @EVAL_ALPHA
 @SEED
 @DIM
@@ -465,10 +474,8 @@ def eval_accuracy_at_k(corpus_path, queries_path, method, k_values, alpha,
     prov = _build_provider(provider, dim, cache_path=cache_path)
     corpus = load_corpus(corpus_path).records
     queries = load_corpus(queries_path).records
-    result = accuracy_at_k(corpus, queries, method=method,
-                           k_values=[int(k) for k in k_values.split(",") if k],
-                           alpha=alpha,
-                           seed=seed, provider=prov)
+    result = accuracy_at_k(corpus, queries, method=method, k_values=k_values,
+                           alpha=alpha, seed=seed, provider=prov)
     _emit(result.to_csv(), out_path)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +23,7 @@ from .embeddings import PseudoEmbedder
 from .fingerprint import (expected_self_distortion, flips, packed_length,
                           quantize, random_fingerprint)
 from .records import CorpusRecord, PairRecord
-from .simhash import SIMHASH_BITS, simhash, simhash_distance
+from .simhash import SIMHASH_BITS, simhash
 from .textproc import derive_seed
 
 CSV_SCHEMA_VERSION = 1
@@ -73,30 +72,6 @@ def prpoint(tau: int, cm: ConfusionMatrix) -> PRPoint:
                    accuracy=accuracy, confusion=cm)
 
 
-# -- fingerprinting methods ------------------------------------------------------
-
-@dataclass(frozen=True)
-class BinaryShieldMethod:
-    """Embed -> quantize -> (optionally) randomize; alpha None disables the
-    noise layer (the zero-noise pipeline)."""
-
-    alpha: float | None = 2.0
-    seed: int = 0
-
-    def label(self) -> str:
-        noise = "none" if self.alpha is None else f"{self.alpha:g}"
-        return f"binaryshield(alpha={noise},seed={self.seed})"
-
-
-@dataclass(frozen=True)
-class SimHashMethod:
-    def label(self) -> str:
-        return "simhash"
-
-
-Method = BinaryShieldMethod | SimHashMethod
-
-
 # -- fingerprint rows: one packed uint8 row per record ---------------------------
 
 def _rows(payloads: Sequence[bytes], dim: int) -> np.ndarray:
@@ -113,6 +88,19 @@ def _fingerprint_rows(texts: Sequence[str], provider) -> np.ndarray:
     return _rows([quantize(e).bits for e in embeddings], provider.dim)[order]
 
 
+def _method_rows(texts: Sequence[str], method: str,
+                 provider) -> tuple[np.ndarray, int]:
+    """Each text's noiseless row under ``method``, and the rows' bit count:
+    "binaryshield" quantizes the provider's embedding, "simhash" is the
+    64-bit SimHash (which has no noise layer)."""
+    if method == "binaryshield":
+        return _fingerprint_rows(texts, provider), provider.dim
+    if method == "simhash":
+        return _rows([simhash(t).bits.to_bytes(8, "little") for t in texts],
+                     SIMHASH_BITS), SIMHASH_BITS
+    raise ValueError(f"unknown method {method!r}")
+
+
 def _released(rows: np.ndarray, dim: int, alpha: float | None,
               seeds: Sequence[int]) -> np.ndarray:
     """Each row XOR its release's flip mask (row i under ``seeds[i]``);
@@ -127,10 +115,18 @@ def _popcounts(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
-def _pair_rows(pairs: Sequence[PairRecord], provider) -> np.ndarray:
-    """The noiseless rows of the pairs' a sides, then of their b sides."""
+def _labeled_rows(pairs: Sequence[PairRecord], method: str,
+                  provider) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pairs' labels, the noiseless rows of their a sides then their b
+    sides, and the rows' bit count."""
+    if not pairs:
+        raise ValueError("pr_sweep requires a non-empty pair set")
+    labels = np.fromiter((p.label for p in pairs), count=len(pairs), dtype=np.int64)
+    if labels.min() == labels.max():
+        raise ValueError("pr_sweep requires both labels present; "
+                         "metrics are undefined on a single class")
     texts = [p.prompt_a for p in pairs] + [p.prompt_b for p in pairs]
-    return _fingerprint_rows(texts, provider)
+    return labels, *_method_rows(texts, method, provider or PseudoEmbedder())
 
 
 def _pair_distances(pairs: Sequence[PairRecord], rows: np.ndarray, dim: int,
@@ -139,18 +135,6 @@ def _pair_distances(pairs: Sequence[PairRecord], rows: np.ndarray, dim: int,
     seeds = [derive_seed(seed, p.id, side) for side in "ab" for p in pairs]
     a, b = _released(rows, dim, alpha, seeds).reshape(2, len(pairs), -1)
     return _popcounts(a ^ b)
-
-
-def _distances_by_pair(pairs: Sequence[PairRecord], method: Method,
-                       provider) -> tuple[np.ndarray, int]:
-    """Per-pair fingerprint distance and the fingerprint dimension."""
-    if isinstance(method, SimHashMethod):
-        dist = np.fromiter(
-            (simhash_distance(simhash(p.prompt_a), simhash(p.prompt_b))
-             for p in pairs), count=len(pairs), dtype=np.int64)
-        return dist, SIMHASH_BITS
-    return (_pair_distances(pairs, _pair_rows(pairs, provider), provider.dim,
-                            method.alpha, method.seed), provider.dim)
 
 
 def _curve(distances: np.ndarray, labels: np.ndarray, dim: int) -> list[PRPoint]:
@@ -188,27 +172,18 @@ class PRSweepResult:
         return buf.getvalue()
 
 
-def _labels(pairs: Sequence[PairRecord]) -> np.ndarray:
-    if not pairs:
-        raise ValueError("pr_sweep requires a non-empty pair set")
-    labels = np.fromiter((p.label for p in pairs), count=len(pairs), dtype=np.int64)
-    if labels.min() == labels.max():
-        raise ValueError("pr_sweep requires both labels present; "
-                         "metrics are undefined on a single class")
-    return labels
-
-
-def pr_sweep(pairs: Sequence[PairRecord], method: Method,
+def pr_sweep(pairs: Sequence[PairRecord], method: str = "binaryshield",
+             alpha: float | None = 2.0, seed: int = 0,
              provider=None) -> PRSweepResult:
     """Sweep every integer threshold 0..dim over pair distances; a pair is
     predicted an attack pair iff distance <= tau. Optimal point maximizes
-    F1, ties going to the smallest tau."""
-    labels = _labels(pairs)
-    provider = provider or PseudoEmbedder()
-    distances, dim = _distances_by_pair(pairs, method, provider)
+    F1, ties going to the smallest tau. Method "binaryshield" releases each
+    side under alpha (None: no noise); "simhash" has no noise layer."""
+    labels, rows, dim = _labeled_rows(pairs, method, provider)
+    distances = _pair_distances(pairs, rows, dim,
+                                alpha if method == "binaryshield" else None, seed)
     points = _curve(distances, labels, dim)
-    return PRSweepResult(method=method.label(), points=points,
-                         optimal=_optimum(points))
+    return PRSweepResult(method=method, points=points, optimal=_optimum(points))
 
 
 @dataclass
@@ -246,16 +221,18 @@ def alpha_sweep(pairs: Sequence[PairRecord], alphas: Sequence[float],
     """Run pr_sweep per (alpha, seed) and average the optimal-point metrics
     over seeds for each alpha. The pairs are fingerprinted once; each
     (alpha, seed) draws only its own noise."""
-    labels = _labels(pairs)
-    provider = provider or PseudoEmbedder()
-    pair_rows = _pair_rows(pairs, provider)
+    if not alphas:
+        raise ValueError("alpha_sweep requires at least one alpha")
+    if seeds_per_alpha < 1:
+        raise ValueError(f"seeds_per_alpha must be >= 1, got {seeds_per_alpha}")
+    labels, pair_rows, dim = _labeled_rows(pairs, "binaryshield", provider)
     rows = []
     for a_idx, alpha in enumerate(alphas):
         optima = []
         for s in range(seeds_per_alpha):
             seed = derive_seed(base_seed, a_idx, s)
-            distances = _pair_distances(pairs, pair_rows, provider.dim, alpha, seed)
-            optima.append(_optimum(_curve(distances, labels, provider.dim)))
+            distances = _pair_distances(pairs, pair_rows, dim, alpha, seed)
+            optima.append(_optimum(_curve(distances, labels, dim)))
         cm = ConfusionMatrix(tp=sum(o.confusion.tp for o in optima),
                              fp=sum(o.confusion.fp for o in optima),
                              tn=sum(o.confusion.tn for o in optima),
@@ -354,12 +331,6 @@ class AccuracyResult:
     n_queries: int
     rows: list[tuple[int, float]]  # (k, accuracy)
 
-    def accuracy_at(self, k: int) -> float:
-        for kk, acc in self.rows:
-            if kk == k:
-                return acc
-        raise KeyError(k)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(_schema_line("accuracy-at-k"))
@@ -389,28 +360,24 @@ def accuracy_at_k(corpus: Sequence[CorpusRecord], queries: Sequence[CorpusRecord
     if not queries:
         raise ValueError("accuracy_at_k requires at least one query")
     k_values = sorted(set(int(k) for k in k_values))
-    if k_values[0] < 1:
-        raise ValueError("k values must be >= 1")
+    if not k_values or k_values[0] < 1:
+        raise ValueError("k values must be a non-empty list of integers >= 1")
     provider = provider or PseudoEmbedder()
-
-    def rows(records, tag):
-        if method == "simhash":
-            return _rows([simhash(r.text).bits.to_bytes(8, "little")
-                          for r in records], SIMHASH_BITS)
-        seeds = [derive_seed(seed, tag, r.id) for r in records]
-        return _released(_fingerprint_rows([r.text for r in records], provider),
-                         provider.dim, alpha, seeds)
-
     if method == "dense":
         matrix = np.vstack([provider.embed(r.text).values for r in corpus])
         matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
         vectors = (provider.embed(q.text).values for q in queries)
         keys = (-(matrix @ (v / np.linalg.norm(v))) for v in vectors)
-    elif method in ("simhash", "binaryshield"):
-        matrix = rows(corpus, "corpus")
-        keys = (_popcounts(matrix ^ row) for row in rows(queries, "query"))
     else:
-        raise ValueError(f"unknown method {method!r}")
+        rows, dim = _method_rows([r.text for r in [*corpus, *queries]], method,
+                                 provider)
+        seeds = [derive_seed(seed, tag, r.id)
+                 for tag, group in (("corpus", corpus), ("query", queries))
+                 for r in group]
+        rows = _released(rows, dim, alpha if method == "binaryshield" else None,
+                         seeds)
+        matrix = rows[:len(corpus)]
+        keys = (_popcounts(matrix ^ row) for row in rows[len(corpus):])
     groups = [r.attack_group for r in corpus]
     hits = dict.fromkeys(k_values, 0)
     for q, key in zip(queries, keys):
@@ -433,9 +400,6 @@ class StorageReport:
     binary_bytes: int
     ratio: float
     measured_binary_bytes: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -30,11 +30,12 @@ _MAX_SEED = 2**64
 
 def _check_seed(seed: int) -> int:
     if not (0 <= int(seed) < _MAX_SEED):
-        raise ValueError(f"noise seed must be a uint64, got {seed}")
+        raise ValueError(f"seed must be a uint64, got {seed}")
     return int(seed)
 
 
-def _philox(seed: int) -> np.random.Generator:
+def philox(seed: int) -> np.random.Generator:
+    """The package's one seeded generator: Philox4x64-10 keyed by a uint64."""
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
@@ -186,7 +187,7 @@ def expected_self_distortion(alpha: Union[PrivacyBudget, float], dim: int) -> fl
 
 def flips(dim: int, alpha: Union[PrivacyBudget, float], seed: int) -> np.ndarray:
     """The packed flip mask of one release: bit i is set when ``u_i >= p``."""
-    return pack_last_axis(_philox(seed).random(dim) >= keep_probability(alpha))
+    return pack_last_axis(philox(seed).random(dim) >= keep_probability(alpha))
 
 
 def randomize(b: BinaryFingerprint, alpha: Union[PrivacyBudget, float],
@@ -210,5 +211,5 @@ def hamming(a: BinaryFingerprint, c: BinaryFingerprint) -> int:
 
 def random_fingerprint(dim: int, seed: int) -> BinaryFingerprint:
     """Uniform random fingerprint from the same Philox stream family."""
-    bits = _philox(seed).integers(0, 2, size=dim, dtype=np.uint8)
+    bits = philox(seed).integers(0, 2, size=dim, dtype=np.uint8)
     return BinaryFingerprint(bits=pack_last_axis(bits).tobytes(), dim=dim)

@@ -380,6 +380,11 @@ def simulate_campaign(scenario: dict | str | Path,
             raise SchemaError(f"corpus {corpus!r}: {exc}", path=where) from None
         for rec in records:
             meta = {"attack_group": rec.attack_group} if rec.attack_group else {}
+            try:
+                check_strings(metadata=meta)
+            except ValueError as exc:
+                raise SchemaError(f"corpus {corpus!r} record {rec.id!r}: {exc}",
+                                  path=where) from None
             ingest_detection(node, rec.text, meta, config, fingerprint_id=rec.id)
         nodes[service_id] = node
         corpora[service_id] = {rec.id: rec for rec in records}

@@ -57,10 +57,6 @@ class EntitySpan:
         if not (0 <= self.start < self.end):
             raise ValueError(f"bad span [{self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class RedactedPrompt:

@@ -29,10 +29,6 @@ class SimHashFingerprint:
         if not (0 <= self.bits < (1 << SIMHASH_BITS)):
             raise ValueError("bits must fit in 64 bits")
 
-    @property
-    def dim(self) -> int:
-        return SIMHASH_BITS
-
 
 def _features(text: str) -> Counter:
     tokens = tokenize(text)

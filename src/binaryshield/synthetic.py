@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fingerprint import philox
 from .records import (VARIANT_SUBSTITUTIONS, CorpusRecord, PairRecord, VariantType)
 
 MIN_SUBSTITUTABLE_LEN = 5  # tokens longer than four characters are eligible
@@ -106,7 +107,7 @@ class SyntheticGenerator:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.rng = np.random.Generator(np.random.Philox(key=self.seed))
+        self.rng = philox(self.seed)
 
     def _pick(self, options) -> str:
         return str(options[int(self.rng.integers(len(options)))])

@@ -17,8 +17,7 @@ from binaryshield import kernels
 from binaryshield.bench import efficiency_run, make_random_store, random_bit_rows
 from binaryshield.embeddings import PseudoEmbedder
 from binaryshield.errors import FrameDecodeError
-from binaryshield.evaluation import (BinaryShieldMethod, SimHashMethod,
-                                     alpha_sweep, calibrate_noise, pr_sweep,
+from binaryshield.evaluation import (alpha_sweep, calibrate_noise, pr_sweep,
                                      storage_report)
 from binaryshield.fingerprint import (BinaryFingerprint, expected_self_distortion,
                                       hamming, keep_probability, pack_bits,
@@ -158,8 +157,7 @@ def test_criterion_4_monotone_privacy_utility(sweep_pairs, pseudo768):
         rho = spearman_rank_correlation(alphas, mean_f1)
         assert rho >= 0.9, f"spearman(alpha, F1) = {rho:.3f} < 0.9"
 
-        noiseless = pr_sweep(sweep_pairs, BinaryShieldMethod(alpha=None),
-                             provider=pseudo768).optimal.f1
+        noiseless = pr_sweep(sweep_pairs, alpha=None, provider=pseudo768).optimal.f1
         frozen = alpha_sweep(sweep_pairs, [50.0], seeds_per_alpha=5,
                              base_seed=ACCEPT_SEED, provider=pseudo768)
         assert frozen.rows[0].mean_f1 == noiseless, (
@@ -181,11 +179,10 @@ def test_criterion_5_detection_sanity(pseudo768):
         assert np.mean(replaced) >= 0.5, (
             f"mean replaced fraction {np.mean(replaced):.3f} < 0.5")
 
-        noiseless = pr_sweep(pairs, BinaryShieldMethod(alpha=None),
-                             provider=pseudo768).optimal.f1
-        noisy = pr_sweep(pairs, BinaryShieldMethod(alpha=2.0, seed=ACCEPT_SEED),
+        noiseless = pr_sweep(pairs, alpha=None, provider=pseudo768).optimal.f1
+        noisy = pr_sweep(pairs, alpha=2.0, seed=ACCEPT_SEED,
                          provider=pseudo768).optimal.f1
-        baseline = pr_sweep(pairs, SimHashMethod(), provider=pseudo768).optimal.f1
+        baseline = pr_sweep(pairs, "simhash", provider=pseudo768).optimal.f1
         print(f"  F1: zero-noise {noiseless:.4f}, alpha=2 {noisy:.4f}, "
               f"simhash {baseline:.4f}", file=sys.stderr)
         assert noiseless >= 0.95, f"zero-noise F1 {noiseless:.4f} < 0.95"

@@ -463,6 +463,36 @@ class TestEvalCli:
         assert line.startswith("500,768,8,")
         assert "64.0000" in line
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("alpha-sweep", "--alphas", ""),
+        ("alpha-sweep", "--alphas", ","),
+        ("alpha-sweep", "--alphas", "0.5,abc"),
+        ("alpha-sweep", "--alphas", "0.5,-1"),
+        ("alpha-sweep", "--seeds-per-alpha", "0"),
+        ("calibrate-noise", "--alphas", ""),
+        ("accuracy-at-k", "--k", ","),
+        ("accuracy-at-k", "--k", "1,x"),
+        ("accuracy-at-k", "--k", "0,3"),
+    ])
+    def test_bad_list_argument_is_usage_error(self, runner, tmp_path, command,
+                                              option, value):
+        pairs, corpus = tmp_path / "pairs.jsonl", tmp_path / "c.jsonl"
+        _ok(runner.invoke(main, ["gen", "pairs", "--attack", "5", "--benign",
+                                 "5", "--seed", "3", "--out", str(pairs)]))
+        _ok(runner.invoke(main, ["gen", "corpus", "--size", "50", "--groups",
+                                 "2", "--seed", "5", "--out", str(corpus),
+                                 "--queries-out", str(tmp_path / "q.jsonl")]))
+        data = {"alpha-sweep": ["--pairs", str(pairs)],
+                "calibrate-noise": ["--n-prompts", "100"],
+                "accuracy-at-k": ["--corpus", str(corpus),
+                                  "--queries", str(tmp_path / "q.jsonl")]}[command]
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["eval", command, *data, option, value,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert not out.exists()
+
     def test_single_class_pairs_exit_1(self, runner, tmp_path):
         pairs = tmp_path / "one.jsonl"
         pairs.write_text(json.dumps({

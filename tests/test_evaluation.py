@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 
@@ -6,14 +5,15 @@ import numpy as np
 import pytest
 
 from binaryshield.embeddings import PseudoEmbedder
-from binaryshield.evaluation import (AlphaSweepResult, BinaryShieldMethod,
-                                     ConfusionMatrix, SimHashMethod,
-                                     _distances_by_pair, _fingerprint_rows,
-                                     _released, accuracy_at_k, alpha_sweep,
+from binaryshield.evaluation import (AlphaSweepResult, ConfusionMatrix,
+                                     _fingerprint_rows, _labeled_rows,
+                                     _pair_distances, _released,
+                                     accuracy_at_k, alpha_sweep,
                                      calibrate_noise, pr_sweep, prpoint,
                                      storage_report)
 from binaryshield.fingerprint import hamming, quantize, randomize
 from binaryshield.records import CorpusRecord, PairRecord, VariantType
+from binaryshield.simhash import simhash, simhash_distance
 from binaryshield.synthetic import SyntheticGenerator
 from binaryshield.textproc import derive_seed
 
@@ -45,10 +45,15 @@ def _confusion_oracle(distances, labels, tau):
     return tp, fp, tn, fn
 
 
+def _distances(pairs, method, provider, alpha=None, seed=0):
+    """Each pair's distance by the experiments' row path, and its bit count."""
+    _, rows, dim = _labeled_rows(pairs, method, provider)
+    return _pair_distances(pairs, rows, dim, alpha, seed), dim
+
+
 class TestPRSweep:
     def test_separable_toy_set_perfect_f1(self, pseudo768):
-        result = pr_sweep(_toy_pairs(), BinaryShieldMethod(alpha=50.0, seed=1),
-                          provider=pseudo768)
+        result = pr_sweep(_toy_pairs(), alpha=50.0, seed=1, provider=pseudo768)
         assert result.optimal.f1 == 1.0
         assert result.optimal.confusion.fp == 0
         assert result.optimal.confusion.fn == 0
@@ -56,11 +61,10 @@ class TestPRSweep:
     def test_single_class_rejected(self, pseudo768):
         attack_only = [p for p in _toy_pairs() if p.label == 1]
         with pytest.raises(ValueError, match="both labels"):
-            pr_sweep(attack_only, BinaryShieldMethod(), provider=pseudo768)
+            pr_sweep(attack_only, provider=pseudo768)
 
     def test_tau_dim_classifies_everything_positive(self, pseudo768):
-        result = pr_sweep(_toy_pairs(), BinaryShieldMethod(alpha=None),
-                          provider=pseudo768)
+        result = pr_sweep(_toy_pairs(), alpha=None, provider=pseudo768)
         end = result.points[-1]
         assert end.tau == 768
         assert end.recall == 1.0
@@ -68,14 +72,12 @@ class TestPRSweep:
 
     def test_tau_zero_on_noisy_pairs_all_negative_f1_zero(self, pseudo768):
         pairs = SyntheticGenerator(5).make_pairs(10, 10, rate=0.7)
-        result = pr_sweep(pairs, BinaryShieldMethod(alpha=0.5, seed=3),
-                          provider=pseudo768)
+        result = pr_sweep(pairs, alpha=0.5, seed=3, provider=pseudo768)
         start = result.points[0]
         assert start.tau == 0 and start.f1 == 0.0 and start.precision == 0.0
 
     def test_metrics_recomputable_from_confusion(self, pseudo768):
-        result = pr_sweep(_toy_pairs(), BinaryShieldMethod(alpha=2.0, seed=2),
-                          provider=pseudo768)
+        result = pr_sweep(_toy_pairs(), alpha=2.0, seed=2, provider=pseudo768)
         for pt in result.points[::97]:
             cm = pt.confusion
             precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
@@ -90,11 +92,9 @@ class TestPRSweep:
     def test_mirrored_confusion_metamorphic(self, pseudo768):
         # flipping labels and the predicate direction swaps tp<->tn, fp<->fn
         pairs = SyntheticGenerator(6).make_pairs(15, 15, rate=0.7)
-        distances, dim = _distances_by_pair(
-            pairs, BinaryShieldMethod(alpha=2.0, seed=4), pseudo768)
+        distances, dim = _distances(pairs, "binaryshield", pseudo768, 2.0, 4)
         labels = [p.label for p in pairs]
-        result = pr_sweep(pairs, BinaryShieldMethod(alpha=2.0, seed=4),
-                          provider=pseudo768)
+        result = pr_sweep(pairs, alpha=2.0, seed=4, provider=pseudo768)
         for pt in result.points[::101]:
             tp, fp, tn, fn = _confusion_oracle(distances, labels, pt.tau)
             assert (pt.confusion.tp, pt.confusion.fp) == (tp, fp)
@@ -105,20 +105,27 @@ class TestPRSweep:
             assert (ftp, ffp, ftn, ffn) == (tn, fn, tp, fp)
 
     def test_optimal_tie_breaks_to_smallest_tau(self, pseudo768):
-        result = pr_sweep(_toy_pairs(), BinaryShieldMethod(alpha=None),
-                          provider=pseudo768)
+        result = pr_sweep(_toy_pairs(), alpha=None, provider=pseudo768)
         best = result.optimal
         same_f1 = [pt for pt in result.points if pt.f1 == best.f1]
         assert best.tau == min(pt.tau for pt in same_f1)
 
     def test_simhash_method_uses_64_bit_range(self, pseudo768):
-        result = pr_sweep(_toy_pairs(), SimHashMethod(), provider=pseudo768)
+        result = pr_sweep(_toy_pairs(), "simhash", provider=pseudo768)
         assert result.points[-1].tau == 64
         assert result.method == "simhash"
 
+    def test_method_is_named(self, pseudo768):
+        result = pr_sweep(_toy_pairs(), "binaryshield", alpha=1.0, seed=3,
+                          provider=pseudo768)
+        assert result.method == "binaryshield"
+
+    def test_unknown_method_rejected(self, pseudo768):
+        with pytest.raises(ValueError, match="unknown method 'quantum'"):
+            pr_sweep(_toy_pairs(), "quantum", provider=pseudo768)
+
     def test_csv_schema(self, pseudo768):
-        text = pr_sweep(_toy_pairs(), BinaryShieldMethod(alpha=None),
-                        provider=pseudo768).to_csv()
+        text = pr_sweep(_toy_pairs(), alpha=None, provider=pseudo768).to_csv()
         lines = text.splitlines()
         assert lines[0] == "# binaryshield pr-sweep schema v1"
         assert lines[1] == "tau,precision,recall,f1,accuracy,tp,fp,tn,fn"
@@ -145,8 +152,7 @@ class TestAlphaSweep:
         assert rho >= 0.9
 
     def test_alpha_50_equals_zero_noise_exactly(self, pairs, pseudo768):
-        noiseless = pr_sweep(pairs, BinaryShieldMethod(alpha=None),
-                             provider=pseudo768).optimal.f1
+        noiseless = pr_sweep(pairs, alpha=None, provider=pseudo768).optimal.f1
         result = alpha_sweep(pairs, [50.0], seeds_per_alpha=3, base_seed=6,
                              provider=pseudo768)
         assert result.rows[0].mean_f1 == noiseless
@@ -157,6 +163,14 @@ class TestAlphaSweep:
         assert lines[0] == "# binaryshield alpha-sweep schema v1"
         assert lines[1].startswith("alpha,mean_f1,")
         assert isinstance(result, AlphaSweepResult)
+
+    @pytest.mark.parametrize("alphas, seeds, match", [
+        ([], 2, "at least one alpha"),
+        ([1.0], 0, "seeds_per_alpha must be >= 1"),
+    ])
+    def test_empty_sweep_rejected(self, pairs, pseudo768, alphas, seeds, match):
+        with pytest.raises(ValueError, match=match):
+            alpha_sweep(pairs, alphas, seeds_per_alpha=seeds, provider=pseudo768)
 
 
 class _CountingEmbedder(PseudoEmbedder):
@@ -191,8 +205,7 @@ class TestFingerprintRows:
     def test_row_distances_equal_per_pair_hamming(self, dim, alpha):
         provider = PseudoEmbedder(dim=dim)
         pairs = SyntheticGenerator(13).make_pairs(15, 15, rate=0.7)
-        distances, got_dim = _distances_by_pair(
-            pairs, BinaryShieldMethod(alpha=alpha, seed=7), provider)
+        distances, got_dim = _distances(pairs, "binaryshield", provider, alpha, 7)
 
         def release(text, pair_id, side):
             fp = quantize(provider.embed(text))
@@ -204,13 +217,21 @@ class TestFingerprintRows:
         assert distances.dtype == np.int64
         assert distances.tolist() == expected
 
+    def test_simhash_row_distances_equal_simhash_distance(self):
+        pairs = SyntheticGenerator(13).make_pairs(15, 15, rate=0.7)
+        distances, dim = _distances(pairs, "simhash", None)
+        expected = [simhash_distance(simhash(p.prompt_a), simhash(p.prompt_b))
+                    for p in pairs]
+        assert dim == 64
+        assert distances.tolist() == expected
+
     def test_sweeps_embed_each_distinct_text_once(self, pairs):
         once = Counter({t: 1 for p in pairs for t in (p.prompt_a, p.prompt_b)})
         provider = _CountingEmbedder()
         alpha_sweep(pairs, [0.5, 1.0, 2.0], seeds_per_alpha=3, provider=provider)
         assert provider.calls == once
         provider = _CountingEmbedder()
-        pr_sweep(pairs, BinaryShieldMethod(alpha=1.0), provider=provider)
+        pr_sweep(pairs, alpha=1.0, provider=provider)
         assert provider.calls == once
 
 
@@ -248,7 +269,7 @@ class TestAccuracyAtK:
         corpus, queries = self._corpus_with_duplicate_query()
         result = accuracy_at_k(corpus, queries, method="binaryshield",
                                k_values=[1], alpha=None, provider=pseudo768)
-        assert result.accuracy_at(1) == 1.0
+        assert dict(result.rows)[1] == 1.0
 
     def test_non_decreasing_in_k(self, pseudo768):
         corpus, queries = SyntheticGenerator(10).make_hybrid_corpus(
@@ -271,16 +292,21 @@ class TestAccuracyAtK:
         corpus, queries = self._corpus_with_duplicate_query()
         dense = accuracy_at_k(corpus, queries, method="dense", k_values=[1],
                               provider=pseudo768)
-        assert dense.accuracy_at(1) == 1.0
+        assert dict(dense.rows)[1] == 1.0
         sim = accuracy_at_k(corpus, queries, method="simhash", k_values=[1, 3],
                             provider=pseudo768)
-        assert 0.0 <= sim.accuracy_at(1) <= 1.0
+        assert 0.0 <= dict(sim.rows)[1] <= 1.0
         assert sim.method == "simhash"
 
     def test_unknown_method_rejected(self, pseudo768):
         corpus, queries = self._corpus_with_duplicate_query()
         with pytest.raises(ValueError, match="unknown method"):
             accuracy_at_k(corpus, queries, method="quantum", provider=pseudo768)
+
+    def test_empty_k_list_rejected(self, pseudo768):
+        corpus, queries = self._corpus_with_duplicate_query()
+        with pytest.raises(ValueError, match="non-empty list"):
+            accuracy_at_k(corpus, queries, k_values=[], provider=pseudo768)
 
 
 class TestStorageReport:
@@ -305,10 +331,11 @@ class TestStorageReport:
         with pytest.raises(ValueError):
             storage_report(10, 768, float_bytes=2)
 
-    def test_json_and_csv(self):
+    def test_csv(self):
         report = storage_report(100, 768, float_bytes=8, measured_binary_bytes=12345)
-        assert json.loads(report.to_json())["measured_binary_bytes"] == 12345
-        assert "# binaryshield storage schema v1" in report.to_csv()
+        lines = report.to_csv().splitlines()
+        assert lines[0] == "# binaryshield storage schema v1"
+        assert lines[-1].endswith(",12345")
 
 
 class TestCsvDeterminism:
@@ -316,8 +343,7 @@ class TestCsvDeterminism:
         pairs = SyntheticGenerator(14).make_pairs(25, 25, rate=0.7)
 
         def run_all():
-            return (pr_sweep(pairs, BinaryShieldMethod(alpha=1.5, seed=9),
-                             provider=pseudo768).to_csv()
+            return (pr_sweep(pairs, alpha=1.5, seed=9, provider=pseudo768).to_csv()
                     + alpha_sweep(pairs, [0.5, 2.0], seeds_per_alpha=2,
                                   base_seed=9, provider=pseudo768).to_csv()
                     + calibrate_noise(100, [1.0], dim=768, seed=9,

@@ -629,6 +629,20 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError, match="clash.json: event 0: 'c0#e0'"):
             simulate_campaign(path, redactor=redactor)
 
+    def test_corpus_attack_group_with_newline(self, scenario_dir, redactor):
+        write_corpus_jsonl([CorpusRecord(id="g0", text="some attack text",
+                                         is_attack=True, attack_group="grp\nx")],
+                           scenario_dir / "g.jsonl")
+        scenario = {"dim": 32, "alpha": 2.0, "seed": 1,
+                    "services": [{"service_id": "G", "corpus": "g.jsonl", "tau": 8}],
+                    "events": []}
+        path = scenario_dir / "group.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(SchemaError, match="group.json: corpus 'g.jsonl' record "
+                                              "'g0': metadata value for "
+                                              "'attack_group' contains a newline"):
+            simulate_campaign(path, redactor=redactor)
+
     @settings(max_examples=150, deadline=None)
     @given(field=st.sampled_from(SCENARIO_FIELDS),
            value=st.just(_ABSENT) | JSON_VALUES)

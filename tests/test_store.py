@@ -549,6 +549,14 @@ class TestScanBenchmark:
         assert report.storage_float32_ratio == 30.0
         assert report.storage_float64_ratio == 60.0
 
+    def test_efficiency_run_counts_every_query_on_both_sides(self):
+        # 50 queries take turns in chunks of 44 and 6 per side
+        report = efficiency_run(40, 50, dim=75, seed=3)
+        assert (report.packed.n_queries, report.dense.n_queries) == (50, 50)
+        assert (report.packed.mode, report.dense.mode) == ("packed_hamming",
+                                                           "dense_cosine")
+        assert report.packed.total_seconds > 0 and report.dense.total_seconds > 0
+
     def test_dense_mode_runs(self):
         matrix = random_unit_rows(50, 64, seed=27)
         queries = random_unit_rows(3, 64, seed=28)
