@@ -23,6 +23,7 @@ from .errors import BinaryShieldError, SchemaError
 from .evaluation import (accuracy_at_k, alpha_sweep, calibrate_noise, pr_sweep,
                          storage_report)
 from .fingerprint import PrivacyBudget, quantize, randomize
+from .parallel import map_blocks
 from .protocol import (compose, encode_frame, read_frames, simulate_campaign,
                        write_demo_scenario)
 from .records import (VariantType, load_corpus, load_pairs, load_prompts,
@@ -89,7 +90,9 @@ ENDPOINT_URL = _knob("--endpoint-url", default=None)
 API_KEY_ENV = _knob("--api-key-env", default=None)
 CACHE_PATH = _knob("--cache-path", default=None)
 EVAL_ALPHA = _knob("--alpha", default="2.0", callback=_budget_or_none,
-                   help="privacy budget, or 'none'")
+                   help="privacy budget, or 'none'. Only the binaryshield "
+                        "method draws noise: simhash and dense ignore this "
+                        "and --seed.")
 EVAL_PROVIDER = _provider("pseudo", "file_cache",
                           help="embedding source (file_cache for replication)")
 
@@ -163,31 +166,41 @@ def main(ctx, config_path):
 @_data_errors
 def fingerprint(input_path, out_path, service_id, dim, alpha, seed, provider,
                 model_id, endpoint_url, api_key_env, cache_path, rules_path):
-    """Turn prompts (JSONL: id, text, metadata?) into wire frames."""
+    """Turn prompts (JSONL: id, text, metadata?) into wire frames.
+
+    A file of a few hundred prompts or more is released on every usable
+    CPU (see binaryshield.parallel); the output is the same."""
     redactor = Redactor.from_config(rules_path) if rules_path else Redactor.default()
     prov = _build_provider(provider, dim, model_id, endpoint_url, api_key_env,
                            cache_path)
     records = load_prompts(input_path)
-    frames: list[bytes] = []
-    failures: list[str] = []
-    for i, rec in enumerate(records):
-        try:
-            redacted = redactor.redact(rec.text)
-            priv = randomize(quantize(prov.embed(redacted)), alpha,
-                             derive_seed(seed, service_id, rec.id))
-            frames.append(encode_frame(compose(service_id, rec.id, priv,
-                                               rec.metadata, i)))
-        except Exception as exc:  # reported per record, run continues
-            failures.append(f"record {rec.id!r}: {exc}")
+
+    def release(start, stop):
+        """Frames, or for a failed record its error message, of one block."""
+        out: list[bytes | str] = []
+        for i in range(start, stop):
+            rec = records[i]
+            try:
+                redacted = redactor.redact(rec.text)
+                priv = randomize(quantize(prov.embed(redacted)), alpha,
+                                 derive_seed(seed, service_id, rec.id))
+                out.append(encode_frame(compose(service_id, rec.id, priv,
+                                                rec.metadata, i)))
+            except Exception as exc:  # reported per record, run continues
+                out.append(f"record {rec.id!r}: {exc}")
+        return out
+
+    released = [r for block in map_blocks(len(records), release) for r in block]
+    failures = [r for r in released if isinstance(r, str)]
     if failures:
         for message in failures:
             click.echo(f"error: {message}", err=True)
         raise click.ClickException(
             f"{len(failures)} of {len(records)} records failed; no output written")
     with atomic_output(out_path, "wb") as fh:
-        for frame in frames:
+        for frame in released:
             fh.write(frame)
-    click.echo(f"wrote {len(frames)} frames to {out_path}")
+    click.echo(f"wrote {len(released)} frames to {out_path}")
 
 
 # -- redact ---------------------------------------------------------------------
@@ -402,7 +415,10 @@ def eval_group():
 @_data_errors
 def eval_pr_sweep(pairs_path, method, alpha, seed, dim, provider,
                   cache_path, out_path):
-    """Precision-recall threshold sweep over labeled pairs."""
+    """Precision-recall threshold sweep over labeled pairs.
+
+    Only the binaryshield method draws noise; simhash ignores --alpha and
+    --seed."""
     loaded = load_pairs(pairs_path)
     if loaded.dropped_empty or loaded.dropped_duplicate:
         click.echo(f"dropped {loaded.dropped_empty} empty, "
@@ -470,7 +486,10 @@ def eval_calibrate_noise(n_prompts, alphas, dim, seed, out_path):
 @_data_errors
 def eval_accuracy_at_k(corpus_path, queries_path, method, k_values, alpha,
                        seed, dim, provider, cache_path, out_path):
-    """Top-k retrieval accuracy over a hybrid corpus."""
+    """Top-k retrieval accuracy over a hybrid corpus.
+
+    Only the binaryshield method draws noise; simhash and dense ignore
+    --alpha and --seed."""
     prov = _build_provider(provider, dim, cache_path=cache_path)
     corpus = load_corpus(corpus_path).records
     queries = load_corpus(queries_path).records

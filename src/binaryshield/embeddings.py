@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (CorruptPayload, EmbeddingTransportError, MissingEmbedding)
-from .fingerprint import DenseEmbedding, philox
+from .fingerprint import DenseEmbedding, rekeyed_philox
 from .redaction import RedactedPrompt
 from .textproc import stable_hash64, tokenize
 
@@ -104,7 +104,7 @@ class PseudoEmbedder(_EmbedEach):
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
-            u = philox(stable_hash64(token)).random(self.dim)
+            u = rekeyed_philox(stable_hash64(token)).random(self.dim)
             signs = np.where(u < 0.5, 1.0, -1.0)
             vec = signs / np.sqrt(self.dim)
             vec.setflags(write=False)

@@ -304,6 +304,8 @@ def calibrate_noise(n_prompts: int, alphas: Sequence[float], dim: int = 768,
         raise ValueError(f"n_prompts must be >= 100, got {n_prompts}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    if not alphas:
+        raise ValueError("calibrate_noise requires at least one alpha")
     zero = np.zeros((n_prompts, packed_length(dim)), dtype=np.uint8)
     rows = []
     for a_idx, alpha in enumerate(alphas):

@@ -12,12 +12,16 @@ Philox4x64-10 counter generator keyed by the 64-bit seed
 (``np.random.Generator(np.random.Philox(key=seed)).random(dim)``). Bit i
 is kept when ``u_i < p`` (strict) and flipped otherwise. Identical
 (bits, alpha, seed) triples therefore reproduce identical output anywhere.
+The draw comes from :func:`rekeyed_philox`, which re-keys one generator
+per thread instead of building one per seed; its draws are a fresh
+``philox(seed)``'s.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -37,6 +41,29 @@ def _check_seed(seed: int) -> int:
 def philox(seed: int) -> np.random.Generator:
     """The package's one seeded generator: Philox4x64-10 keyed by a uint64."""
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+
+
+_rekeyable = threading.local()      # this thread's (generator, state dict)
+
+
+def rekeyed_philox(seed: int) -> np.random.Generator:
+    """This thread's one Philox generator, set to the state a fresh
+    ``philox(seed)`` starts in: key ``[seed, 0]``, counter zero, empty
+    buffer. Building a ``Philox`` costs about as much as a 768-value draw,
+    so a caller that draws once and drops the generator uses this; the
+    next call on the same thread re-keys it, so a caller that keeps its
+    generator uses :func:`philox`."""
+    try:
+        gen, state = _rekeyable.pair
+    except AttributeError:
+        gen = philox(0)
+        state = gen.bit_generator.state
+        _rekeyable.pair = gen, state
+    state["state"]["key"][0] = _check_seed(seed)
+    state["state"]["counter"][:] = 0
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    gen.bit_generator.state = state
+    return gen
 
 
 def packed_length(dim: int) -> int:
@@ -187,7 +214,7 @@ def expected_self_distortion(alpha: Union[PrivacyBudget, float], dim: int) -> fl
 
 def flips(dim: int, alpha: Union[PrivacyBudget, float], seed: int) -> np.ndarray:
     """The packed flip mask of one release: bit i is set when ``u_i >= p``."""
-    return pack_last_axis(philox(seed).random(dim) >= keep_probability(alpha))
+    return pack_last_axis(rekeyed_philox(seed).random(dim) >= keep_probability(alpha))
 
 
 def randomize(b: BinaryFingerprint, alpha: Union[PrivacyBudget, float],

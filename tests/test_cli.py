@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -9,9 +10,11 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from binaryshield import cli, kernels, parallel
 from binaryshield.cli import Knob, main
 from binaryshield.protocol import decode_frame
 from binaryshield.redaction import Redactor
+from test_golden import _pii_prompt
 
 SENTINEL = "qvxjwsentineltoken99"
 
@@ -170,6 +173,141 @@ def test_prompt_breaking_the_string_rule_exits_1_at_its_line(
     assert result.exit_code == 1
     assert f"{path}:4: {message}" in result.output
     assert not out.exists()
+
+class TestParallelRelease:
+    """A file of at least ``parallel._FORK_ROWS`` prompts is released by the
+    caller and forked children; its output, errors and exit code do not
+    depend on how many processes ran, or on a child that dies."""
+
+    N = parallel._FORK_ROWS + 3 * parallel.BLOCK_ROWS
+
+    @pytest.fixture()
+    def prompts(self, tmp_path):
+        path = tmp_path / "prompts.jsonl"
+        path.write_text("".join(json.dumps(_pii_prompt(i)) + "\n"
+                                for i in range(self.N)))
+        return path
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Counts this process's forks."""
+        made = []
+        real = os.fork
+
+        def fork():
+            made.append(1)
+            return real()
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    @pytest.fixture()
+    def slow_first_block(self, monkeypatch):
+        """Hold up the caller at record 0, so the children claim the rest."""
+        caller = os.getpid()
+        real = cli.derive_seed
+
+        def derive_seed(seed, service_id, rec_id):
+            if rec_id == "p000" and os.getpid() == caller:
+                time.sleep(0.3)
+            return real(seed, service_id, rec_id)
+        monkeypatch.setattr(cli, "derive_seed", derive_seed)
+
+    def _release(self, monkeypatch, cpus, prompts, out, *extra):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        result = CliRunner().invoke(main, ["fingerprint", "--input", str(prompts),
+                                           "--out", str(out), "--seed", "11",
+                                           "--service-id", "S1", *extra])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)      # every child was reaped
+        return result
+
+    @pytest.mark.skipif(not parallel._CAN_FORK, reason="releases in-process here")
+    def test_frames_identical_on_one_two_and_three_cpus(
+            self, monkeypatch, tmp_path, prompts, forks):
+        outs = []
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"frames{cpus}.jsonl"
+            _ok(self._release(monkeypatch, cpus, prompts, out))
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].splitlines()) == self.N
+        assert len(forks) == 1 + 2
+
+    @pytest.mark.skipif(not parallel._CAN_FORK, reason="releases in-process here")
+    def test_failures_in_a_childs_blocks_are_reported_in_order(
+            self, monkeypatch, runner, tmp_path, prompts, forks, slow_first_block):
+        # Only block 0's prompts are cached, so every later record whose
+        # redacted text differs from theirs fails, in blocks the children
+        # claim while the caller is held up.
+        first = tmp_path / "first.jsonl"
+        first.write_text("".join(prompts.read_text().splitlines(keepends=True)
+                                 [:parallel.BLOCK_ROWS]))
+        cache = tmp_path / "c.bsemb"
+        _ok(runner.invoke(main, ["embed-cache", "build", "--input", str(first),
+                                 "--out", str(cache)]))
+        results = []
+        for cpus in (1, 3):
+            out = tmp_path / f"frames{cpus}.jsonl"
+            results.append(self._release(monkeypatch, cpus, prompts, out,
+                                         "--provider", "file_cache",
+                                         "--cache-path", str(cache)))
+            assert not out.exists()
+        one, three = results
+        assert one.exit_code == three.exit_code == 1
+        assert three.output == one.output
+        errors = [line for line in one.output.splitlines()
+                  if line.startswith("error: ")]
+        ids = [e.split("'")[1] for e in errors]
+        assert ids[0] == f"p{parallel.BLOCK_ROWS:03d}" and ids == sorted(ids)
+        assert len(ids) > self.N // 2
+        assert len(forks) == 2
+
+    @pytest.mark.skipif(not parallel._CAN_FORK, reason="releases in-process here")
+    def test_child_that_exits_after_its_first_block_changes_nothing(
+            self, monkeypatch, tmp_path, prompts, forks, slow_first_block):
+        serial = tmp_path / "serial.jsonl"
+        _ok(self._release(monkeypatch, 1, prompts, serial))
+        caller, claims = os.getpid(), []
+        real = parallel._claim
+
+        def claim(fd):
+            if os.getpid() != caller:
+                claims.append(1)
+                if len(claims) == 2:
+                    os._exit(3)
+            return real(fd)
+        monkeypatch.setattr(parallel, "_claim", claim)
+        out = tmp_path / "frames.jsonl"
+        _ok(self._release(monkeypatch, 3, prompts, out))
+        assert out.read_bytes() == serial.read_bytes()
+        assert len(forks) == 2
+
+    @pytest.mark.skipif(not parallel._CAN_FORK, reason="releases in-process here")
+    def test_interrupted_caller_kills_and_reaps_its_children(
+            self, monkeypatch, tmp_path, prompts, forks):
+        caller = os.getpid()
+        real = cli.derive_seed
+
+        def derive_seed(seed, service_id, rec_id):
+            if rec_id == "p001" and os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real(seed, service_id, rec_id)
+        monkeypatch.setattr(cli, "derive_seed", derive_seed)
+        out = tmp_path / "frames.jsonl"
+        result = self._release(monkeypatch, 3, prompts, out)
+        assert result.exit_code == 1 and "Aborted!" in result.output
+        assert not out.exists()
+        assert len(forks) == 2
+
+    def test_file_below_the_threshold_never_forks(self, monkeypatch, tmp_path,
+                                                  forks):
+        path = tmp_path / "small.jsonl"
+        path.write_text("".join(json.dumps(_pii_prompt(i)) + "\n"
+                                for i in range(parallel._FORK_ROWS - 1)))
+        out = tmp_path / "frames.jsonl"
+        _ok(self._release(monkeypatch, 3, path, out))
+        assert len(out.read_bytes().splitlines()) == parallel._FORK_ROWS - 1
+        assert forks == []
 
 
 class TestRedactCli:

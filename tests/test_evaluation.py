@@ -249,6 +249,10 @@ class TestCalibrateNoise:
         with pytest.raises(ValueError, match="100"):
             calibrate_noise(50, [1.0])
 
+    def test_empty_alphas_rejected(self):
+        with pytest.raises(ValueError, match="at least one alpha"):
+            calibrate_noise(100, [])
+
     def test_csv_has_baseline_row(self, calibration):
         lines = calibration.to_csv().splitlines()
         assert lines[0] == "# binaryshield noise-calibration schema v1"

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from binaryshield.fingerprint import (BinaryFingerprint, DenseEmbedding,
                                       flip_probability, flips, hamming,
                                       keep_probability, pack_bits, packed_length,
                                       philox, quantize, randomize,
-                                      random_fingerprint, unpack_bits)
+                                      random_fingerprint, rekeyed_philox,
+                                      unpack_bits)
 from binaryshield.synthetic import SyntheticGenerator
 
 from conftest import naive_hamming_bits
@@ -181,6 +185,10 @@ class TestRandomize:
         assert randomize(fp, 0.8, 99).bits == expected.tobytes()
 
 
+REKEY_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2,
+               2**64 - 1]
+
+
 class TestSeededGenerator:
     """``philox`` is the one seeded generator; every seeded draw in the
     package goes through it."""
@@ -189,6 +197,37 @@ class TestSeededGenerator:
     def test_same_stream_as_a_fresh_philox(self, seed):
         fresh = np.random.Generator(np.random.Philox(key=seed))
         assert philox(seed).random(16).tobytes() == fresh.random(16).tobytes()
+
+    def test_rekeyed_draws_equal_a_fresh_philox(self):
+        # from two threads at once, each drawing odd sizes so that a stale
+        # buffer or counter would show, then in a forked child after the
+        # parent has drawn
+        seeds = REKEY_SEEDS * 20
+
+        def check(out):
+            for seed in seeds:
+                for size in (1, 5, 768):
+                    got = rekeyed_philox(seed).random(size)
+                    out.append(got.tobytes() == philox(seed).random(size).tobytes())
+
+        results = [[], []]
+        threads = [threading.Thread(target=check, args=(r,)) for r in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(results[0]) and all(results[1])
+        assert len(results[0]) == len(results[1]) == 3 * len(seeds)
+        if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+            return      # fork warns there once threads have run
+        pid = os.fork()
+        if pid == 0:
+            ok = []
+            try:
+                check(ok)
+            finally:
+                os._exit(0 if ok and all(ok) else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
     @pytest.mark.parametrize("draw", [
         philox, SyntheticGenerator, lambda s: random_bit_rows(2, 8, s),
